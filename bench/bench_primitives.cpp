@@ -1,17 +1,19 @@
 // Micro-benchmarks for the primitives underpinning the figure benchmarks:
 // SHA-256 backends (scalar / SHA-NI / AVX2 multi-buffer), batched vs single
-// Schnorr verification, and the batched tree-hashing paths (Merkle build,
-// SMT UpdateBatch). Each A/B section cross-checks that both variants produce
+// Schnorr verification, a block's transaction-signature check, the batched
+// tree-hashing paths (Merkle build, SMT UpdateBatch), and MB-tree builds. Each A/B section cross-checks that both variants produce
 // identical outputs before reporting the speedup, so the numbers can never
 // drift away from a correctness regression silently.
 #include <cinttypes>
 #include <map>
 
 #include "bench/bench_util.h"
+#include "chain/executor.h"
 #include "common/thread_pool.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_batch.h"
 #include "crypto/signature.h"
+#include "mht/mbtree.h"
 #include "mht/merkle_tree.h"
 #include "mht/node_hash.h"
 #include "mht/smt.h"
@@ -245,6 +247,56 @@ int main(int argc, char** argv) {
               kSmtBatch, kSmtBase, smt_pernode_ns / 1e6, smt_batched_ns / 1e6,
               smt_speedup);
 
+  // --- MB-tree builds: many tiny trees (a HistoricalIndex keeps one per
+  // account) and one large tree; the first shows per-tree fixed cost.
+  constexpr int kSmallTrees = 500;
+  constexpr int kSmallEntries = 8;
+  constexpr int kLargeEntries = 4096;
+  const Bytes mb_value = StrBytes("value");
+  double mb_small_ns = MinNsPerCall([&] {
+    std::vector<mht::MbTree> trees(kSmallTrees);
+    for (mht::MbTree& t : trees) {
+      for (int k = 1; k <= kSmallEntries; ++k) t.Insert(k, mb_value);
+      if (t.Root().IsZero()) std::abort();
+    }
+  });
+  double mb_large_ns = MinNsPerCall([&] {
+    mht::MbTree t;
+    for (int k = 1; k <= kLargeEntries; ++k) t.Insert(k, mb_value);
+    if (t.Root().IsZero()) std::abort();
+  });
+  std::printf("MB-tree build: %d trees x %d entries %.2f ms; 1 tree x %d "
+              "entries %.2f ms\n",
+              kSmallTrees, kSmallEntries, mb_small_ns / 1e6, kLargeEntries,
+              mb_large_ns / 1e6);
+
+  // --- a block's tx signatures: per-tx loop vs VerifyTxSignatures -------
+  // 100 txs from 100 distinct senders (the certify workload's block size):
+  // no key terms merge, so one VerifyBatch saves only through its shared
+  // doublings; the rest of the gain is the spreading of chunks over the pool.
+  constexpr int kBlockTxs = 100;
+  std::vector<chain::Transaction> block_txs;
+  for (int i = 0; i < kBlockTxs; ++i) {
+    block_txs.push_back(chain::Transaction::Create(
+        crypto::SecretKey::FromSeed(StrBytes("sender" + std::to_string(i))),
+        0, 1, {1, static_cast<std::uint64_t>(i)}));
+  }
+  auto [txsig_loop_ns, txsig_batched_ns] = MinNsPerCallAb(
+      [&] {
+        for (const chain::Transaction& tx : block_txs) {
+          if (!tx.VerifySignature()) std::abort();
+        }
+      },
+      [&] {
+        if (!chain::VerifyTxSignatures(block_txs)) std::abort();
+      },
+      /*reps=*/3, /*min_ms=*/150.0);
+  double txsig_speedup = txsig_loop_ns / txsig_batched_ns;
+  std::printf("Block tx signatures (%d txs, %d senders, %zu pool workers): "
+              "per-tx %.2f ms, VerifyTxSignatures %.2f ms -> %.2fx\n",
+              kBlockTxs, kBlockTxs, pool.WorkerCount(), txsig_loop_ns / 1e6,
+              txsig_batched_ns / 1e6, txsig_speedup);
+
   // --- secp256k1: single vs batched verification -----------------------
   constexpr int kSigners = 4;   // an announcement flood from few validators
   constexpr int kSigs = 32;
@@ -315,6 +367,11 @@ int main(int argc, char** argv) {
         .Put("smt_update_batch_speedup", smt_speedup)
         .Put("smt_pernode_ms", smt_pernode_ns / 1e6)
         .Put("smt_batched_ms", smt_batched_ns / 1e6)
+        .Put("mbtree_500x8_build_ms", mb_small_ns / 1e6)
+        .Put("mbtree_4096_build_ms", mb_large_ns / 1e6)
+        .Put("block_txsig_speedup", txsig_speedup)
+        .Put("block_txsig_per_tx_ms", txsig_loop_ns / 1e6)
+        .Put("block_txsig_batched_ms", txsig_batched_ns / 1e6)
         .Put("verify_batch_speedup", verify_speedup)
         .Put("verify_single_us_per_sig", single_ns / kSigs / 1e3)
         .Put("verify_batched_us_per_sig", vbatch_ns / kSigs / 1e3)

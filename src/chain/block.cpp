@@ -109,6 +109,18 @@ std::uint64_t Transaction::CallerWord() const {
   return w;
 }
 
+const std::vector<Transaction>& TxList::Txs() const {
+  static const std::vector<Transaction> kNone;
+  return body_ ? *body_ : kNone;
+}
+
+std::vector<Transaction>& TxList::Mutable() {
+  if (!body_ || body_.use_count() != 1) {
+    body_ = std::make_shared<std::vector<Transaction>>(Txs());
+  }
+  return *body_;
+}
+
 Hash256 Block::ComputeTxRoot(const std::vector<Transaction>& txs) {
   std::vector<Hash256> leaves;
   leaves.reserve(txs.size());
@@ -134,13 +146,15 @@ Result<Block> Block::Deserialize(ByteView data) {
     if (!hdr) return R(hdr.status());
     block.header = hdr.value();
     std::uint32_t n = dec.U32();
+    std::vector<Transaction> txs;
     for (std::uint32_t i = 0; i < n; ++i) {
       Bytes tx_bytes = dec.Blob();
       auto tx = Transaction::Deserialize(tx_bytes);
       if (!tx) return R(tx.status());
-      block.txs.push_back(std::move(tx.value()));
+      txs.push_back(std::move(tx.value()));
     }
     dec.ExpectEnd();
+    block.txs = std::move(txs);
     return block;
   } catch (const DecodeError& e) {
     return R::Error(std::string("Block: ") + e.what());

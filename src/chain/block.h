@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.h"
@@ -55,9 +56,40 @@ struct Transaction {
   std::uint64_t CallerWord() const;
 };
 
+/// A block body: an immutable transaction list shared by every copy of the
+/// block. Copying a Block copies a reference (as Bitcoin Core's
+/// CTransactionRef does), so the miner's node, the CI's node and an SP that
+/// hold the same block keep one body between them. Reads look like a const
+/// std::vector<Transaction>; Mutable() first copies a shared body
+/// (copy-on-write), so editing one copy of a block never reaches another.
+class TxList {
+ public:
+  TxList() = default;
+  TxList(std::vector<Transaction> txs)  // NOLINT: implicit, like the vector
+      : body_(std::make_shared<std::vector<Transaction>>(std::move(txs))) {}
+
+  operator const std::vector<Transaction>&() const { return Txs(); }  // NOLINT
+
+  std::size_t size() const { return Txs().size(); }
+  bool empty() const { return Txs().empty(); }
+  const Transaction& operator[](std::size_t i) const { return Txs()[i]; }
+  std::vector<Transaction>::const_iterator begin() const { return Txs().begin(); }
+  std::vector<Transaction>::const_iterator end() const { return Txs().end(); }
+
+  /// The body for editing (tests that tamper with a block); copies it first
+  /// when another TxList shares it. Not for use while another thread may be
+  /// copying or reading a block that shares this body.
+  std::vector<Transaction>& Mutable();
+
+ private:
+  const std::vector<Transaction>& Txs() const;
+
+  std::shared_ptr<std::vector<Transaction>> body_;  // null = no transactions
+};
+
 struct Block {
   BlockHeader header;
-  std::vector<Transaction> txs;
+  TxList txs;
 
   /// Merkle root over the transaction hashes (H_tx).
   static Hash256 ComputeTxRoot(const std::vector<Transaction>& txs);

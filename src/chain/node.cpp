@@ -27,8 +27,7 @@ FullNode::FullNode(ChainConfig config,
   blocks_.push_back(MakeGenesisBlock(config_));
 }
 
-Status FullNode::SubmitBlock(const Block& block) {
-  const BlockHeader& hdr = block.header;
+Status FullNode::CheckExtendsTip(const BlockHeader& hdr) const {
   const BlockHeader& tip = Tip().header;
   if (hdr.prev_hash != tip.Hash()) {
     return Status::Error("block does not extend the current tip");
@@ -36,6 +35,22 @@ Status FullNode::SubmitBlock(const Block& block) {
   if (hdr.height != tip.height + 1) {
     return Status::Error("block height is not tip height + 1");
   }
+  return Status::Ok();
+}
+
+Status FullNode::ApplyIfRootMatches(const Block& block, const StateMap& writes) {
+  // Predict the post-state root statelessly before touching the StateDB.
+  if (PredictRootAfterWrites(state_, writes) != block.header.state_root) {
+    return Status::Error("state root mismatch after execution");
+  }
+  state_.ApplyWrites(writes);
+  blocks_.push_back(block);
+  return Status::Ok();
+}
+
+Status FullNode::SubmitBlock(const Block& block) {
+  const BlockHeader& hdr = block.header;
+  if (Status st = CheckExtendsTip(hdr); !st) return st;
   if (hdr.difficulty_bits != config_.difficulty_bits) {
     return Status::Error("unexpected difficulty");
   }
@@ -46,16 +61,12 @@ Status FullNode::SubmitBlock(const Block& block) {
 
   auto executed = ExecuteBlockTxs(block.txs, *registry_, state_);
   if (!executed) return executed.status().WithContext("block execution");
+  return ApplyIfRootMatches(block, executed.value().writes);
+}
 
-  // Predict the post-state root statelessly before touching the StateDB.
-  const StateMap& writes = executed.value().writes;
-  if (PredictRootAfterWrites(state_, writes) != hdr.state_root) {
-    return Status::Error("state root mismatch after re-execution");
-  }
-
-  state_.ApplyWrites(writes);
-  blocks_.push_back(block);
-  return Status::Ok();
+Status FullNode::AppendExecuted(const Block& block, const StateMap& writes) {
+  if (Status st = CheckExtendsTip(block.header); !st) return st;
+  return ApplyIfRootMatches(block, writes);
 }
 
 Status FullNode::InstallSnapshot(const Block& tip, const StateMap& state) {

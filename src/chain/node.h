@@ -49,6 +49,13 @@ class FullNode {
   /// and state-root check — then append.
   Status SubmitBlock(const Block& block);
 
+  /// Appends a block whose execution the caller already holds from a
+  /// verifier it trusts — the CI once its enclave has checked and signed the
+  /// block (consensus, tx root, signatures, replay) — applying `writes`
+  /// instead of re-executing. Checks header linkage and that `writes` take
+  /// the state to the header's state root; on a mismatch nothing is applied.
+  Status AppendExecuted(const Block& block, const StateMap& writes);
+
   /// Re-bases a node still at genesis onto a state snapshot: after this the
   /// node's tip is `tip` (height >= 1), its state is `state`, and blocks
   /// below the tip are unavailable. Verifies everything the snapshot claims
@@ -63,6 +70,10 @@ class FullNode {
   std::size_t StorageBytes() const;
 
  private:
+  Status CheckExtendsTip(const BlockHeader& hdr) const;
+  /// Applies `writes` and appends `block` when they reach its state root.
+  Status ApplyIfRootMatches(const Block& block, const StateMap& writes);
+
   ChainConfig config_;
   std::shared_ptr<const ContractRegistry> registry_;
   std::vector<Block> blocks_;  // blocks_[i] holds height base_height_ + i

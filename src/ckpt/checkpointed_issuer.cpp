@@ -191,17 +191,4 @@ Status CheckpointedIssuer::CertifyBlock(const chain::Block& blk) {
   return MaybeCheckpoint();
 }
 
-Status CheckpointedIssuer::CertifyBlocksPipelined(
-    const std::vector<chain::Block>& blocks) {
-  if (Status st = inner_.CertifyBlocksPipelined(blocks); !st) return st;
-  if (ShadowActive()) {
-    for (const chain::Block& blk : blocks) {
-      if (blk.header.height != shadow_next_) continue;
-      (void)shadow_.ApplyBlockCapturingAux(blk);
-      ++shadow_next_;
-    }
-  }
-  return MaybeCheckpoint();
-}
-
 }  // namespace dcert::ckpt

@@ -59,12 +59,6 @@ class CheckpointedIssuer {
   /// CertifyBlock + shadow-index apply + cadence check.
   Status CertifyBlock(const chain::Block& blk);
 
-  /// CertifyBlocksPipelined + shadow-index apply; the cadence check runs
-  /// once at the span boundary (mid-span the pipelined node state may
-  /// already be ahead of the block being announced, so a mid-span snapshot
-  /// would be inconsistent).
-  Status CertifyBlocksPipelined(const std::vector<chain::Block>& blocks);
-
   /// Seals a checkpoint at the current tip regardless of cadence.
   Status WriteCheckpointNow();
 

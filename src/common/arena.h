@@ -61,7 +61,10 @@ class Arena {
   // A slot must fit T and, once freed, an intrusive free-list node.
   static constexpr std::size_t kSlotSize =
       sizeof(T) > sizeof(void*) ? sizeof(T) : sizeof(void*);
-  static constexpr std::size_t kFirstChunkSlots = 64;
+  // Small first chunk: a process holds thousands of tiny trees (one MB-tree
+  // per account in a HistoricalIndex), so fixed per-tree heap dominates;
+  // large trees still reach kMaxChunkSlots after a few doublings.
+  static constexpr std::size_t kFirstChunkSlots = 4;
   static constexpr std::size_t kMaxChunkSlots = 8192;
   static_assert(alignof(T) <= alignof(std::max_align_t),
                 "Arena relies on operator new alignment");

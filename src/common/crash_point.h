@@ -24,7 +24,7 @@ namespace dcert::common {
 /// Thrown by an armed crash site. Catching this anywhere below the test
 /// harness and continuing would defeat the simulation, so nothing in the
 /// library catches it specifically (generic catch(...) blocks that re-throw
-/// after cleanup, like the pipelined issuer's thread join, are fine).
+/// after cleanup are fine).
 struct CrashInjected : std::runtime_error {
   explicit CrashInjected(std::string site_name)
       : std::runtime_error("crash injected at " + site_name),

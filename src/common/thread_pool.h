@@ -1,10 +1,11 @@
 // A small fixed-size worker pool shared by the parallel hot paths (SMT
-// multiproof generation, bulk leaf hashing, index aux-proof capture, the
-// pipelined certificate issuer).
+// multiproof generation, bulk leaf hashing, index aux-proof capture, batched
+// transaction-signature checks).
 //
 // Design constraints that shaped the API:
-//  * Reentrancy: pool tasks may themselves call ParallelFor (the pipelined
-//    issuer's prepare stage runs ProveKeys, which fans out again). A blocking
+//  * Reentrancy: pool tasks may themselves call ParallelFor (the SMT's
+//    dirty-subtree rehash splits into two tasks per level, each of which
+//    splits again). A blocking
 //    wait inside a worker would deadlock a small pool, so every wait in this
 //    class *helps* — it drains queued tasks on the waiting thread instead of
 //    sleeping while work is available.

@@ -324,25 +324,6 @@ Status DurableCertificateIssuer::CompactBelow(std::uint64_t height) {
   return Status::Ok();
 }
 
-Status DurableCertificateIssuer::LogAndAnnounce(const chain::Block& blk,
-                                                const BlockCertificate& cert) {
-  auto& crash = common::CrashPoints::Global();
-  if (Status st = certs_.Append(cert); !st) {
-    return st.WithContext("durable cert append");
-  }
-  crash.Hit("issuer.durable.before_announce");
-  if (announce_) {
-    if (Status st = announce_(blk, cert); !st) {
-      return st.WithContext("announce height " +
-                            std::to_string(blk.header.height));
-    }
-  }
-  crash.Hit("issuer.durable.after_announce");
-  DurableMetrics::Get().tip_height->Set(
-      static_cast<std::int64_t>(blk.header.height));
-  return Status::Ok();
-}
-
 Status DurableCertificateIssuer::CertifyBlock(const chain::Block& blk) {
   auto& crash = common::CrashPoints::Global();
   crash.Hit("issuer.durable.begin");
@@ -352,24 +333,19 @@ Status DurableCertificateIssuer::CertifyBlock(const chain::Block& blk) {
   crash.Hit("issuer.durable.after_block_append");
   auto cert = issuer_.ProcessBlock(blk);
   if (!cert) return cert.status();
-  return LogAndAnnounce(blk, cert.value());
-}
-
-Status DurableCertificateIssuer::CertifyBlocksPipelined(
-    const std::vector<chain::Block>& blocks) {
-  auto& crash = common::CrashPoints::Global();
-  crash.Hit("issuer.durable.begin");
-  auto result = issuer_.ProcessBlocksPipelined(
-      blocks, [&](std::size_t i, const BlockCertificate& cert) -> Status {
-        // Same per-block commit order as CertifyBlock, applied on the
-        // calling thread as each certificate comes off the pipeline.
-        if (Status st = blocks_.Append(blocks[i]); !st) {
-          return st.WithContext("durable block append");
-        }
-        common::CrashPoints::Global().Hit("issuer.durable.after_block_append");
-        return LogAndAnnounce(blocks[i], cert);
-      });
-  if (!result) return result.status();
+  if (Status st = certs_.Append(cert.value()); !st) {
+    return st.WithContext("durable cert append");
+  }
+  crash.Hit("issuer.durable.before_announce");
+  if (announce_) {
+    if (Status st = announce_(blk, cert.value()); !st) {
+      return st.WithContext("announce height " +
+                            std::to_string(blk.header.height));
+    }
+  }
+  crash.Hit("issuer.durable.after_announce");
+  DurableMetrics::Get().tip_height->Set(
+      static_cast<std::int64_t>(blk.header.height));
   return Status::Ok();
 }
 

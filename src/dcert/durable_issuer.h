@@ -119,10 +119,6 @@ class DurableCertificateIssuer {
   /// and the logs may disagree by one block; reopening reconciles.
   Status CertifyBlock(const chain::Block& blk);
 
-  /// Pipelined span certification (ProcessBlocksPipelined) with the same
-  /// per-block commit order, applied from the pipeline's cert sink.
-  Status CertifyBlocksPipelined(const std::vector<chain::Block>& blocks);
-
   /// Drops log history strictly below checkpoint height `height`: block
   /// records below `height` and certificate records below `height - 1`, so
   /// the checkpointed block and its certificate stay retained as the
@@ -141,9 +137,6 @@ class DurableCertificateIssuer {
   DurableCertificateIssuer(CertificateIssuer issuer, chain::BlockStore blocks,
                            CertificateStore certs, AnnounceFn announce,
                            RecoveryReport recovery);
-
-  /// cert append -> announce, shared by the serial and pipelined paths.
-  Status LogAndAnnounce(const chain::Block& blk, const BlockCertificate& cert);
 
   CertificateIssuer issuer_;
   chain::BlockStore blocks_;

@@ -121,7 +121,9 @@ Status CertEnclaveProgram::BlkVerify(const chain::BlockHeader& prev_hdr,
     return Status::Error("blk_verify_t: update proof does not match H_state");
   }
   // Lines 18-21: trusted replay over the verified read set. Signature and
-  // nonce validity are enforced inside the executor.
+  // nonce validity are enforced inside the executor; this is the only place
+  // the CI checks signatures (batched across the pool, which models several
+  // enclave threads; the host's pre-processing skips them).
   chain::ReadSetReader reader(update_proof.read_set);
   auto replay = chain::ExecuteBlockTxs(new_blk.txs, *registry_, reader);
   if (!replay) return replay.status().WithContext("blk_verify_t: replay");

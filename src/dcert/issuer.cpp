@@ -1,10 +1,6 @@
 #include "dcert/issuer.h"
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/crash_point.h"
@@ -113,8 +109,10 @@ Result<CertificateIssuer::Prepared> CertificateIssuer::Prepare(
     const chain::Block& blk) {
   using R = Result<Prepared>;
   // comp_data_set (Alg. 1 line 2): execute on the current (pre-block) state.
+  // Signatures are the enclave's to check (Alg. 2 line 19).
   Stopwatch rwset_watch;
-  auto executed = chain::ExecuteBlockTxs(blk.txs, node_.Registry(), node_.State());
+  auto executed =
+      chain::ExecuteBlockTxsUnchecked(blk.txs, node_.Registry(), node_.State());
   const std::uint64_t rwset_ns = rwset_watch.ElapsedNs();
   timing_.rwset_ns += rwset_ns;
   CiMetrics::Get().rwset_ns->Record(rwset_ns);
@@ -128,6 +126,7 @@ Result<CertificateIssuer::Prepared> CertificateIssuer::Prepare(
   const std::uint64_t proof_ns = proof_watch.ElapsedNs();
   timing_.proof_ns += proof_ns;
   CiMetrics::Get().proof_ns->Record(proof_ns);
+  prepared.writes = std::move(executed.value().writes);
   prepared.input_bytes = blk.ByteSize() + prepared.proof.ByteSize();
   return prepared;
 }
@@ -142,9 +141,12 @@ BlockCertificate CertificateIssuer::AssembleCert(
   return cert;
 }
 
-Status CertificateIssuer::Commit(const chain::Block& blk) {
+Status CertificateIssuer::Commit(const chain::Block& blk,
+                                 const chain::StateMap* verified_writes) {
   Stopwatch commit_watch;
-  Status st = node_.SubmitBlock(blk);
+  Status st = verified_writes != nullptr
+                  ? node_.AppendExecuted(blk, *verified_writes)
+                  : node_.SubmitBlock(blk);
   const std::uint64_t commit_ns = commit_watch.ElapsedNs();
   timing_.commit_ns += commit_ns;
   CiMetrics::Get().commit_ns->Record(commit_ns);
@@ -180,7 +182,7 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlock(const chain::Block& blk
   if (!sig) return R(sig.status().WithContext("ecall_sig_gen"));
 
   BlockCertificate cert = AssembleCert(blk.header.Hash(), sig.value());
-  if (Status st = Commit(blk); !st) return R(st);
+  if (Status st = Commit(blk, &prepared.value().writes); !st) return R(st);
   latest_cert_ = cert;
   block_certs_.push_back(cert);
   CiMetrics::Get().blocks_certified->Add(1);
@@ -233,139 +235,6 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
   // requires per-block certs, so batched operation disables it (documented).
   block_certs_.clear();
   return cert;
-}
-
-Result<std::vector<BlockCertificate>> CertificateIssuer::ProcessBlocksPipelined(
-    const std::vector<chain::Block>& blocks,
-    const std::function<Status(std::size_t, const BlockCertificate&)>& on_cert) {
-  using R = Result<std::vector<BlockCertificate>>;
-  timing_ = CertTiming{};
-  timing_.blocks = blocks.size();
-  if (blocks.empty()) return R::Error("empty span");
-
-  // Two-stage pipeline over a bounded handoff queue. The prepare thread owns
-  // node_ (tip checks, re-execution, proof build, commit) and the prepare-
-  // side timing counters; the calling thread owns the enclave, the
-  // certificate chain, and the enclave-side counters. The enclave's SigGen
-  // consumes only captured values (prev header, prev certificate, block,
-  // proof), so committing block N before its Ecall is legal and is what lets
-  // block N+1's preparation overlap it.
-  struct Slot {
-    chain::BlockHeader prev_hdr;
-    Prepared prepared;
-    Status status = Status::Ok();
-  };
-  constexpr std::size_t kMaxInFlight = 4;  // bounds proof memory
-  struct Handoff {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Slot> ready;
-    bool cancel = false;
-    bool done = false;
-  } handoff;
-
-  Stopwatch span_watch;
-  std::thread prep([&] {
-    for (const chain::Block& blk : blocks) {
-      Slot slot;
-      slot.prev_hdr = node_.Tip().header;
-      if (Status st = CheckExtendsTip(blk); !st) {
-        slot.status = st;
-      } else if (auto prepared = Prepare(blk); !prepared) {
-        slot.status = prepared.status();
-      } else {
-        slot.prepared = std::move(prepared.value());
-        slot.status = Commit(blk);
-      }
-      const bool failed = !slot.status;
-      {
-        std::unique_lock<std::mutex> lock(handoff.mu);
-        handoff.cv.wait(lock, [&] {
-          return handoff.cancel || handoff.ready.size() < kMaxInFlight;
-        });
-        if (handoff.cancel) return;
-        handoff.ready.push_back(std::move(slot));
-      }
-      handoff.cv.notify_all();
-      if (failed) break;
-    }
-    {
-      std::lock_guard<std::mutex> lock(handoff.mu);
-      handoff.done = true;
-    }
-    handoff.cv.notify_all();
-  });
-
-  std::vector<BlockCertificate> certs;
-  certs.reserve(blocks.size());
-  Status failure = Status::Ok();
-  try {
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      Slot slot;
-      {
-        std::unique_lock<std::mutex> lock(handoff.mu);
-        handoff.cv.wait(lock,
-                        [&] { return !handoff.ready.empty() || handoff.done; });
-        if (handoff.ready.empty()) break;  // prepare thread exited early
-        slot = std::move(handoff.ready.front());
-        handoff.ready.pop_front();
-      }
-      handoff.cv.notify_all();  // queue space freed
-      if (!slot.status) {
-        failure = slot.status.WithContext("pipelined prepare, block " +
-                                          std::to_string(i));
-        break;
-      }
-
-      const std::optional<BlockCertificate> prev_cert = latest_cert_;
-      common::CrashPoints::Global().Hit("issuer.pipeline.ecall");
-      const sgxsim::CostAccounting before = enclave_.Costs();
-      auto sig = enclave_.Ecall(slot.prepared.input_bytes, [&] {
-        return program_.SigGen(slot.prev_hdr, prev_cert, blocks[i],
-                               slot.prepared.proof);
-      });
-      timing_.enclave_wall_ns += enclave_.Costs().wall_ns() - before.wall_ns();
-      timing_.enclave_modeled_ns +=
-          enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-      timing_.ecalls += 1;
-      if (!sig) {
-        failure = sig.status().WithContext("pipelined ecall_sig_gen, block " +
-                                           std::to_string(i));
-        break;
-      }
-      BlockCertificate cert = AssembleCert(blocks[i].header.Hash(), sig.value());
-      if (on_cert) {
-        if (Status st = on_cert(i, cert); !st) {
-          failure = st.WithContext("pipelined cert sink, block " +
-                                   std::to_string(i));
-          break;
-        }
-      }
-      latest_cert_ = cert;
-      block_certs_.push_back(cert);
-      certs.push_back(std::move(cert));
-      CiMetrics::Get().blocks_certified->Add(1);
-    }
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(handoff.mu);
-      handoff.cancel = true;
-    }
-    handoff.cv.notify_all();
-    prep.join();
-    throw;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(handoff.mu);
-    handoff.cancel = true;
-  }
-  handoff.cv.notify_all();
-  prep.join();
-  timing_.span_wall_ns = span_watch.ElapsedNs();
-
-  if (!failure) return R(failure);
-  return certs;
 }
 
 Status CertificateIssuer::InstallSnapshot(const chain::Block& tip,
@@ -448,7 +317,7 @@ Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockAugmented(
     new_digests.push_back(new_digest);
   }
 
-  if (Status st = Commit(blk); !st) return R(st);
+  if (Status st = Commit(blk, &prepared.value().writes); !st) return R(st);
   for (std::size_t i = 0; i < indexes_.size(); ++i) {
     indexes_[i].digest = new_digests[i];
     indexes_[i].cert = certs[i];
@@ -517,7 +386,7 @@ Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockHierarchica
     certs.push_back(*indexes_[i].cert);
   }
 
-  if (Status st = Commit(blk); !st) return R(st);
+  if (Status st = Commit(blk, &prepared.value().writes); !st) return R(st);
   latest_cert_ = block_cert;
   block_certs_.push_back(block_cert);
   for (const IndexSlot& slot : indexes_) {

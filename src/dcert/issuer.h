@@ -5,7 +5,6 @@
 // hierarchical (Alg. 5) scheme.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,23 +39,16 @@ class CertifiedIndexHost {
 };
 
 /// Per-block certificate construction cost breakdown (Figs. 8-10). The
-/// per-stage counters are *busy* times: in serial operation they also sum to
-/// the elapsed time, while in pipelined operation the prepare-side counters
-/// (rwset/proof/index_aux/commit) accumulate on the prepare thread and
-/// overlap the enclave-side ones, so the elapsed time is tracked separately
-/// in `span_wall_ns` (stage-overlap accounting).
+/// stages run one after another, so they sum to the elapsed time.
 struct CertTiming {
   std::uint64_t rwset_ns = 0;            // outside: execution + r/w set gen
   std::uint64_t proof_ns = 0;            // outside: Merkle proof generation
   std::uint64_t index_aux_ns = 0;        // outside: index aux proof generation
-  std::uint64_t commit_ns = 0;           // outside: full-node re-validate + apply
+  std::uint64_t commit_ns = 0;           // outside: full-node append
   std::uint64_t enclave_wall_ns = 0;     // inside: raw wall time
   std::uint64_t enclave_modeled_ns = 0;  // inside: with modelled SGX overheads
   std::uint64_t ecalls = 0;
   std::uint64_t blocks = 0;              // blocks covered by this window
-  std::uint64_t span_wall_ns = 0;        // elapsed wall time of the whole span
-                                         // (0 when a single-block entry point
-                                         // ran; stages then sum to elapsed)
 
   double OutsideMs() const {
     return static_cast<double>(rwset_ns + proof_ns + index_aux_ns) / 1e6;
@@ -64,15 +56,6 @@ struct CertTiming {
   double TotalMs(bool modeled) const {
     return OutsideMs() +
            static_cast<double>(modeled ? enclave_modeled_ns : enclave_wall_ns) / 1e6;
-  }
-  /// Busy fraction of the two pipeline stages over the span's wall time:
-  /// (prepare busy + enclave busy) / (2 * wall). 0.5 means one stage was
-  /// always idle (no overlap); 1.0 means both stages ran the whole time.
-  double PipelineOccupancy() const {
-    if (span_wall_ns == 0) return 0.0;
-    const std::uint64_t busy =
-        rwset_ns + proof_ns + index_aux_ns + commit_ns + enclave_wall_ns;
-    return static_cast<double>(busy) / (2.0 * static_cast<double>(span_wall_ns));
   }
 };
 
@@ -122,7 +105,9 @@ class CertificateIssuer {
 
   /// gen_cert (Alg. 1): constructs the block certificate for `blk` (which
   /// must extend this CI's tip) and then appends the block to the local full
-  /// node. Fills LastTiming().
+  /// node, applying the write set pre-processing derived (the enclave has
+  /// verified the block, signatures included, by then). A refused block
+  /// leaves the node and LatestCert() untouched. Fills LastTiming().
   Result<BlockCertificate> ProcessBlock(const chain::Block& blk);
 
   /// Batched certification: one Ecall certifies the whole span (which must
@@ -131,28 +116,6 @@ class CertificateIssuer {
   /// at the cost of per-block certification latency (see bench_batching).
   Result<BlockCertificate> ProcessBlockBatch(
       const std::vector<chain::Block>& blocks);
-
-  /// Two-stage pipelined certification of a contiguous span: a prepare
-  /// thread runs the outside-enclave work (tip check, VM re-execution,
-  /// update-proof build, full-node commit) for block N+1 while the calling
-  /// thread drives block N's Ecall — legal because the enclave needs only
-  /// the *previous* certificate, never the node's post-commit state. Every
-  /// block receives a certificate; certs, roots, and LatestCert() are
-  /// byte-identical to running ProcessBlock once per block. Fills
-  /// LastTiming() with stage-overlap accounting (span_wall_ns, occupancy).
-  /// On an Ecall failure the node may already have committed ahead of the
-  /// last certificate (a production CI would snapshot and roll back).
-  ///
-  /// `on_cert`, when set, runs on the calling thread right after block i's
-  /// certificate is assembled and *before* it becomes LatestCert() — the
-  /// durability hook: a durable issuer appends block and certificate to its
-  /// logs (and announces) here, so a crash inside the sink leaves the
-  /// in-memory chain ahead of the logs, which recovery reconciles. A sink
-  /// error aborts the span like an Ecall failure would.
-  Result<std::vector<BlockCertificate>> ProcessBlocksPipelined(
-      const std::vector<chain::Block>& blocks,
-      const std::function<Status(std::size_t, const BlockCertificate&)>&
-          on_cert = nullptr);
 
   /// Adopts a block certified by *another* CI (decentralization: any CI
   /// running the same measured enclave can extend the chain). Fully
@@ -181,13 +144,17 @@ class CertificateIssuer {
   std::size_t IndexCount() const { return indexes_.size(); }
 
   /// Augmented scheme (Alg. 4): one Ecall *per index*, each re-verifying the
-  /// block. No standalone block certificate is produced.
+  /// block. No standalone block certificate is produced. The first index's
+  /// aux capture runs before any Ecall, so a block the enclave refuses
+  /// (forged root, bad signature) leaves that live index ahead of its
+  /// certificate — see CertifiedIndexHost.
   Result<std::vector<IndexCertificate>> ProcessBlockAugmented(
       const chain::Block& blk);
 
   /// Hierarchical scheme (Alg. 5): one gen_cert Ecall for the block, then
   /// one lightweight Ecall per index. Returns the index certificates; the
-  /// block certificate is available via LatestCert().
+  /// block certificate is available via LatestCert(). The block Ecall runs
+  /// before any index is touched, so a refused block changes nothing.
   Result<std::vector<IndexCertificate>> ProcessBlockHierarchical(
       const chain::Block& blk);
 
@@ -210,16 +177,24 @@ class CertificateIssuer {
 
   struct Prepared {
     StateUpdateProof proof;
+    /// The block's write set: committed once the enclave has signed.
+    chain::StateMap writes;
     std::uint64_t input_bytes = 0;
   };
 
-  /// Outside-enclave pre-processing (Alg. 1 lines 2-3), timed.
+  /// Outside-enclave pre-processing (Alg. 1 lines 2-3), timed. Executes
+  /// without checking signatures: the enclave checks them, and nothing the
+  /// host derives here is trusted before it has.
   Result<Prepared> Prepare(const chain::Block& blk);
   BlockCertificate AssembleCert(const Hash256& digest,
                                 const crypto::Signature& sig) const;
   Status CheckExtendsTip(const chain::Block& blk) const;
-  /// Appends the block to the local full node.
-  Status Commit(const chain::Block& blk);
+  /// Appends the block to the local full node, timed. With
+  /// `verified_writes` — the write set Prepare derived, once the enclave has
+  /// verified and signed the block — through FullNode::AppendExecuted;
+  /// without, with full validation (a block no enclave has verified yet).
+  Status Commit(const chain::Block& blk,
+                const chain::StateMap* verified_writes = nullptr);
 
   chain::ChainConfig config_;
   sgxsim::Enclave enclave_;

@@ -125,6 +125,10 @@ struct MbTree::Node {
 
 MbTree::MbTree() : arena_(std::make_unique<common::Arena<Node>>()) {}
 MbTree::~MbTree() = default;
+
+std::size_t MbTree::ArenaSlots() const {
+  return arena_ ? arena_->SlotCount() : 0;
+}
 MbTree::MbTree(MbTree&&) noexcept = default;
 MbTree& MbTree::operator=(MbTree&& o) noexcept {
   if (this != &o) {

@@ -129,6 +129,8 @@ class MbTree {
   Hash256 Root() const;
   std::size_t Size() const { return size_; }
   std::optional<std::uint64_t> MaxKey() const;
+  /// Node slots the tree's arena has carved (memory footprint, for tests).
+  std::size_t ArenaSlots() const;
 
   /// Every stored entry in key order (an in-order leaf walk, no proofs):
   /// the raw content a checkpoint serializes. Re-inserting the returned

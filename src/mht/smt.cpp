@@ -72,6 +72,10 @@ struct SparseMerkleTree::Node {
 
 SparseMerkleTree::SparseMerkleTree()
     : arena_(std::make_unique<common::Arena<Node>>()) {}
+
+std::size_t SparseMerkleTree::ArenaSlots() const {
+  return arena_ ? arena_->SlotCount() : 0;
+}
 SparseMerkleTree::~SparseMerkleTree() = default;
 SparseMerkleTree::SparseMerkleTree(SparseMerkleTree&&) noexcept = default;
 SparseMerkleTree& SparseMerkleTree::operator=(SparseMerkleTree&& o) noexcept {

@@ -92,6 +92,8 @@ class SparseMerkleTree {
 
   Hash256 Root() const;
   std::size_t Size() const { return size_; }
+  /// Node slots the tree's arena has carved (memory footprint, for tests).
+  std::size_t ArenaSlots() const;
 
   /// Builds a multiproof covering every key in `keys` (present or absent —
   /// absence is provable). Duplicates are fine. Large key sets are proved in

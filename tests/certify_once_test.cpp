@@ -1,0 +1,382 @@
+// Certify each block once: batched transaction-signature checking
+// (VerifyTxSignatures) agrees with per-tx verification, signatures are
+// enforced on every trusted and validating path although the CI's host
+// pre-processing skips them, the CI commits the prepared write set through
+// FullNode::AppendExecuted, and block bodies are shared between copies.
+#include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+
+#include "chain/consensus.h"
+#include "common/rng.h"
+#include "dcert/certificate.h"
+#include "dcert/issuer.h"
+#include "dcert/naive_enclave.h"
+#include "query/historical_index.h"
+#include "workloads/workloads.h"
+
+namespace dcert::core {
+namespace {
+
+using workloads::AccountPool;
+using workloads::Workload;
+using workloads::WorkloadGenerator;
+
+// --- VerifyTxSignatures vs per-tx Transaction::VerifySignature --------------
+
+/// Breaks tx `i`'s signature, cycling through four kinds of damage: a bumped
+/// s, a payload edit the signature does not cover, an r with no curve point
+/// (caught by VerifyBatch's structural screen), and another sender's key.
+void Corrupt(std::vector<chain::Transaction>& txs, std::size_t i,
+             const crypto::PublicKey& other_key) {
+  chain::Transaction& tx = txs[i];
+  switch (i % 4) {
+    case 0:
+      tx.signature.s = crypto::Curve().Fn().Add(tx.signature.s, crypto::U256(1));
+      break;
+    case 1:
+      tx.calldata.push_back(0xdead);
+      break;
+    case 2:
+      tx.signature.r = crypto::Curve().P();  // not a field element
+      break;
+    default:
+      tx.sender = other_key;
+      break;
+  }
+}
+
+/// Index of the first tx per-tx verification rejects, or txs.size().
+std::size_t FirstBadPerTx(const std::vector<chain::Transaction>& txs) {
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    if (!txs[i].VerifySignature().ok()) return i;
+  }
+  return txs.size();
+}
+
+void ExpectAgrees(const std::vector<chain::Transaction>& txs,
+                  std::size_t first_bad) {
+  Status st = chain::VerifyTxSignatures(txs);
+  if (first_bad == txs.size()) {
+    EXPECT_TRUE(st.ok()) << st.message();
+  } else {
+    ASSERT_FALSE(st.ok()) << "n=" << txs.size() << " first bad " << first_bad;
+    EXPECT_EQ(st.message().rfind("tx " + std::to_string(first_bad) + ": ", 0), 0u)
+        << st.message();
+  }
+}
+
+struct SignedTxs {
+  AccountPool pool{16, 77};
+  std::vector<chain::Transaction> txs;
+  SignedTxs() {
+    Rng rng(78);
+    for (std::size_t i = 0; i < 100; ++i) {
+      txs.push_back(pool.MakeTx(rng.NextBelow(pool.size()), 3000,
+                                {1, rng.NextBelow(64), rng.NextBelow(1000)}));
+    }
+  }
+};
+
+TEST(VerifyTxSignaturesTest, AgreesWithPerTxVerifyOnSeededBlocks) {
+  const SignedTxs s;
+  const crypto::PublicKey& other = s.pool.PublicKeyAt(0);
+  Rng rng(79);
+  for (std::size_t n : {1, 2, 3, 7, 8, 9, 15, 16, 17, 20, 21, 24, 25, 26, 33,
+                        50, 64, 99, 100}) {
+    std::vector<chain::Transaction> base(s.txs.begin(), s.txs.begin() + n);
+    std::vector<std::set<std::size_t>> patterns = {
+        {}, {0}, {n / 2}, {n - 1}, {0, n / 2, n - 1},
+        {rng.NextBelow(n), rng.NextBelow(n), rng.NextBelow(n)}};
+    for (const std::set<std::size_t>& bad : patterns) {
+      std::vector<chain::Transaction> txs = base;
+      for (std::size_t i : bad) {
+        // Never swap in the tx's own key (that would not break it).
+        Corrupt(txs, i, txs[i].sender == other ? s.pool.PublicKeyAt(1) : other);
+      }
+      const std::size_t first_bad = FirstBadPerTx(txs);
+      EXPECT_EQ(first_bad, bad.empty() ? n : *bad.begin());
+      ExpectAgrees(txs, first_bad);
+    }
+  }
+}
+
+TEST(VerifyTxSignaturesTest, NamesEveryPositionOfAFullBlock) {
+  // One bad signature at every position of a 100-tx block covers every
+  // chunk edge whatever the pool size; a second one after it must not
+  // change the answer.
+  const SignedTxs s;
+  ASSERT_EQ(FirstBadPerTx(s.txs), s.txs.size());
+  EXPECT_TRUE(chain::VerifyTxSignatures(s.txs).ok());
+  EXPECT_TRUE(chain::VerifyTxSignatures({}).ok());
+  for (std::size_t i = 0; i < s.txs.size(); ++i) {
+    std::vector<chain::Transaction> txs = s.txs;
+    const crypto::PublicKey& other =
+        txs[i].sender == s.pool.PublicKeyAt(0) ? s.pool.PublicKeyAt(1)
+                                               : s.pool.PublicKeyAt(0);
+    Corrupt(txs, i, other);
+    ASSERT_FALSE(txs[i].VerifySignature().ok());
+    ExpectAgrees(txs, i);
+    if (i + 37 < txs.size()) {
+      Corrupt(txs, i + 37, other);
+      ExpectAgrees(txs, i);
+    }
+  }
+}
+
+// --- block bodies --------------------------------------------------------------
+
+TEST(TxListTest, CopiesShareTheBodyAndMutableCopiesOnWrite) {
+  const SignedTxs s;
+  chain::Block a;
+  EXPECT_TRUE(a.txs.empty());
+  a.txs = std::vector<chain::Transaction>(s.txs.begin(), s.txs.begin() + 4);
+  chain::Block b = a;
+  const std::vector<chain::Transaction>& a_body = a.txs;
+  const std::vector<chain::Transaction>& b_body = b.txs;
+  EXPECT_EQ(&a_body, &b_body);  // one body, two blocks
+
+  b.txs.Mutable().pop_back();
+  EXPECT_EQ(a.txs.size(), 4u);  // the original is untouched
+  EXPECT_EQ(b.txs.size(), 3u);
+  const std::vector<chain::Transaction>& b_after = b.txs;
+  EXPECT_NE(&a_body, &b_after);
+
+  // A sole owner edits in place.
+  b.txs.Mutable().pop_back();
+  const std::vector<chain::Transaction>& b_sole = b.txs;
+  EXPECT_EQ(&b_after, &b_sole);
+  EXPECT_EQ(b.txs.size(), 2u);
+
+  auto decoded = chain::Block::Deserialize(a.Serialize());
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  EXPECT_EQ(decoded.value().Serialize(), a.Serialize());
+}
+
+// --- refusal of a bad-signature block ---------------------------------------
+
+constexpr std::size_t kBadTx = 3;
+
+struct Rig {
+  chain::ChainConfig config;
+  std::shared_ptr<const chain::ContractRegistry> registry;
+  std::unique_ptr<CertificateIssuer> ci;
+  std::shared_ptr<query::HistoricalIndex> index;
+  std::unique_ptr<chain::FullNode> miner_node;
+  std::unique_ptr<chain::Miner> miner;
+  AccountPool pool{6, 41};
+  std::unique_ptr<WorkloadGenerator> gen;
+
+  explicit Rig(bool with_index) {
+    config.difficulty_bits = 2;
+    registry = workloads::MakeBlockbenchRegistry(2);
+    ci = std::make_unique<CertificateIssuer>(config, registry);
+    if (with_index) {
+      index = std::make_shared<query::HistoricalIndex>("historical");
+      ci->AttachIndex(index);
+    }
+    miner_node = std::make_unique<chain::FullNode>(config, registry);
+    miner = std::make_unique<chain::Miner>(*miner_node);
+    WorkloadGenerator::Params params;
+    params.kind = Workload::kKvStore;
+    params.instances_per_workload = 2;
+    gen = std::make_unique<WorkloadGenerator>(params, pool);
+  }
+
+  /// Mines the next valid block (not yet submitted to the miner's node) and
+  /// returns it with its transactions.
+  chain::Block MineNext() {
+    auto block = miner->MineBlock(gen->NextBlockTxs(8), 1000 + miner_node->Height());
+    if (!block.ok()) throw std::runtime_error(block.message());
+    return block.value();
+  }
+
+  void Submit(const chain::Block& blk) {
+    if (Status st = miner_node->SubmitBlock(blk); !st) {
+      throw std::runtime_error(st.message());
+    }
+  }
+};
+
+/// The valid block's transactions with tx kBadTx's signature broken, in a
+/// block that honestly commits to them on top of `node`'s tip: the tx root,
+/// the state root (from unchecked execution) and the PoW are recomputed, so
+/// only a signature check can refuse it.
+chain::Block BadSignatureBlock(const chain::FullNode& node,
+                               const chain::Block& valid) {
+  std::vector<chain::Transaction> txs = valid.txs;
+  txs[kBadTx].signature.s =
+      crypto::Curve().Fn().Add(txs[kBadTx].signature.s, crypto::U256(1));
+  auto exec = chain::ExecuteBlockTxsUnchecked(txs, node.Registry(), node.State());
+  if (!exec) throw std::runtime_error(exec.message());
+  chain::Block bad;
+  bad.header = valid.header;
+  bad.header.state_root = chain::PredictRootAfterWrites(node.State(),
+                                                        exec.value().writes);
+  bad.header.tx_root = chain::Block::ComputeTxRoot(txs);
+  bad.txs = std::move(txs);
+  chain::MineNonce(bad.header);
+  return bad;
+}
+
+void ExpectNamesBadTx(const Status& st) {
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("tx " + std::to_string(kBadTx) + ": "),
+            std::string::npos)
+      << st.message();
+}
+
+/// What a refused block must leave untouched.
+struct CiSnapshot {
+  std::uint64_t height;
+  Hash256 state_root;
+  std::optional<BlockCertificate> cert;
+  std::optional<IndexCertificate> index_cert;
+  Hash256 index_digest;
+
+  static CiSnapshot Of(const Rig& rig) {
+    CiSnapshot s{rig.ci->Node().Height(), rig.ci->Node().State().Root(),
+                 rig.ci->LatestCert(), std::nullopt, Hash256()};
+    if (rig.index) {
+      s.index_cert = rig.ci->LatestIndexCert("historical");
+      s.index_digest = rig.index->CurrentDigest();
+    }
+    return s;
+  }
+
+  void ExpectSame(const Rig& rig) const {
+    const CiSnapshot now = Of(rig);
+    EXPECT_EQ(now.height, height);
+    EXPECT_EQ(now.state_root, state_root);
+    EXPECT_EQ(now.cert, cert);
+    EXPECT_EQ(now.index_cert, index_cert);
+    EXPECT_EQ(now.index_digest, index_digest);
+  }
+};
+
+TEST(CertifyOnceTest, HierarchicalRefusesBadSignatureBlockAndCommitsNothing) {
+  Rig rig(/*with_index=*/true);
+  chain::Block b1 = rig.MineNext();
+  rig.Submit(b1);
+  ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(b1).ok());
+
+  chain::Block b2 = rig.MineNext();
+  chain::Block bad = BadSignatureBlock(rig.ci->Node(), b2);
+  // The host pre-processing alone would accept it: same writes, same root.
+  ASSERT_EQ(bad.header.state_root, b2.header.state_root);
+  const CiSnapshot before = CiSnapshot::Of(rig);
+  auto refused = rig.ci->ProcessBlockHierarchical(bad);
+  ExpectNamesBadTx(refused.status());
+  EXPECT_NE(refused.message().find("ecall_sig_gen"), std::string::npos)
+      << refused.message();
+  before.ExpectSame(rig);
+
+  // The next valid block still certifies on top of the untouched CI.
+  rig.Submit(b2);
+  auto icerts = rig.ci->ProcessBlockHierarchical(b2);
+  ASSERT_TRUE(icerts.ok()) << icerts.message();
+  EXPECT_EQ(rig.ci->Node().Height(), 2u);
+  EXPECT_EQ(rig.ci->LatestCert()->digest, b2.header.Hash());
+  EXPECT_EQ(rig.ci->Node().State().Root(), b2.header.state_root);
+}
+
+TEST(CertifyOnceTest, ProcessBlockRefusesBadSignatureBlockAndCommitsNothing) {
+  Rig rig(/*with_index=*/false);
+  chain::Block b1 = rig.MineNext();
+  rig.Submit(b1);
+  ASSERT_TRUE(rig.ci->ProcessBlock(b1).ok());
+
+  chain::Block b2 = rig.MineNext();
+  chain::Block bad = BadSignatureBlock(rig.ci->Node(), b2);
+  const CiSnapshot before = CiSnapshot::Of(rig);
+  ExpectNamesBadTx(rig.ci->ProcessBlock(bad).status());
+  before.ExpectSame(rig);
+
+  rig.Submit(b2);
+  auto cert = rig.ci->ProcessBlock(b2);
+  ASSERT_TRUE(cert.ok()) << cert.message();
+  EXPECT_EQ(rig.ci->Node().Height(), 2u);
+}
+
+TEST(CertifyOnceTest, EveryValidatingPathRejectsBadSignatureBlock) {
+  Rig rig(/*with_index=*/false);
+  chain::Block b1 = rig.MineNext();
+  chain::Block bad = BadSignatureBlock(*rig.miner_node, b1);
+
+  // Full-node validation.
+  ExpectNamesBadTx(rig.miner_node->SubmitBlock(bad));
+  EXPECT_EQ(rig.miner_node->Height(), 0u);
+
+  // The miner refuses to build on the bad transactions.
+  std::vector<chain::Transaction> bad_txs = bad.txs;
+  ExpectNamesBadTx(rig.miner->MineBlock(bad_txs, 1000).status());
+
+  // The naive in-enclave baseline.
+  NaiveCertificateIssuer naive(rig.config, rig.registry);
+  ExpectNamesBadTx(naive.ProcessBlock(bad).status());
+  EXPECT_EQ(naive.Node().Height(), 0u);
+
+  // A certificate over the bad block from a leaked enclave key passes the
+  // envelope check, but the adopting CI's full validation still refuses it.
+  const crypto::SecretKey leaked = crypto::SecretKey::FromSeed(StrBytes("dcert-ci-key"));
+  ASSERT_EQ(leaked.Public(), rig.ci->EnclaveKey());
+  BlockCertificate forged;
+  forged.pk_enc = rig.ci->EnclaveKey();
+  forged.report = rig.ci->Report();
+  forged.digest = bad.header.Hash();
+  forged.sig = leaked.Sign(forged.digest);
+  ASSERT_TRUE(VerifyCertificateEnvelope(forged, ExpectedEnclaveMeasurement()).ok());
+  ExpectNamesBadTx(rig.ci->AcceptBlockWithCert(bad, forged));
+  EXPECT_EQ(rig.ci->Node().Height(), 0u);
+  EXPECT_FALSE(rig.ci->LatestCert().has_value());
+
+  // The honest block goes through every path.
+  rig.Submit(b1);
+  EXPECT_TRUE(naive.ProcessBlock(b1).ok());
+  EXPECT_TRUE(rig.ci->ProcessBlock(b1).ok());
+}
+
+// --- committing the prepared write set --------------------------------------
+
+TEST(FullNodeAppendTest, AppendExecutedRefusesMismatchedWritesAndAppliesNothing) {
+  Rig rig(/*with_index=*/false);
+  chain::Block b1 = rig.MineNext();
+  chain::FullNode& node = *rig.miner_node;
+  auto exec = chain::ExecuteBlockTxs(b1.txs, node.Registry(), node.State());
+  ASSERT_TRUE(exec.ok()) << exec.message();
+  const chain::StateMap& writes = exec.value().writes;
+  ASSERT_FALSE(writes.empty());
+  const Hash256 root0 = node.State().Root();
+
+  // A write set whose root is not the header's: refused, nothing applied.
+  chain::StateMap wrong = writes;
+  wrong.begin()->second += 1;
+  Status st = node.AppendExecuted(b1, wrong);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("state root"), std::string::npos) << st.message();
+  chain::StateMap extra = writes;
+  extra.emplace(chain::SlotKey(424242, 1), 7);
+  EXPECT_FALSE(node.AppendExecuted(b1, extra).ok());
+  EXPECT_FALSE(node.AppendExecuted(b1, {}).ok());
+  EXPECT_EQ(node.Height(), 0u);
+  EXPECT_EQ(node.State().Root(), root0);
+  for (const auto& [key, value] : writes) EXPECT_EQ(node.State().Load(key), 0u);
+
+  // A block that does not extend the tip: refused.
+  chain::Block unlinked = b1;
+  unlinked.header.height += 1;
+  EXPECT_FALSE(node.AppendExecuted(unlinked, writes).ok());
+  EXPECT_EQ(node.Height(), 0u);
+
+  // The matching write set appends, exactly as SubmitBlock would have.
+  ASSERT_TRUE(node.AppendExecuted(b1, writes).ok());
+  EXPECT_EQ(node.Height(), 1u);
+  EXPECT_EQ(node.State().Root(), b1.header.state_root);
+  chain::FullNode full(rig.config, rig.registry);
+  ASSERT_TRUE(full.SubmitBlock(b1).ok());
+  EXPECT_EQ(full.State().Snapshot(), node.State().Snapshot());
+}
+
+}  // namespace
+}  // namespace dcert::core

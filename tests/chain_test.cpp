@@ -235,7 +235,7 @@ TEST(NodeTest, SubmitRejectsTamperedBlocks) {
   EXPECT_FALSE(node.SubmitBlock(wrong_state).ok());
 
   Block dropped_tx = block.value();
-  dropped_tx.txs.pop_back();
+  dropped_tx.txs.Mutable().pop_back();
   EXPECT_FALSE(node.SubmitBlock(dropped_tx).ok());
 
   Block bad_nonce = block.value();

@@ -117,9 +117,14 @@ void FlipLastByte(const std::string& path) {
 }
 
 /// An issuer checkpoint produced by a real cadenced run (body + state +
-/// shadow-index content), loaded back from disk.
+/// shadow-index content), loaded back from disk. The files are named after
+/// the running test: ctest runs tests as parallel processes, which must not
+/// share them.
 Checkpoint MakeIssuerCheckpoint() {
-  IssuerPaths p = FreshIssuerPaths("ckpt_make", 0, 4);
+  IssuerPaths p = FreshIssuerPaths(
+      std::string("ckpt_make_") +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name(),
+      0, 4);
   auto ci = OpenIssuer(p);
   if (!ci.ok()) throw std::runtime_error(ci.message());
   for (int i = 0; i < 8; ++i) {
@@ -333,25 +338,6 @@ TEST(CheckpointedIssuerTest, RecoveryReplaysOnlyTheTailAndMatchesReference) {
     EXPECT_NE(ci.message().find("checkpoint"), std::string::npos)
         << ci.message();
   }
-}
-
-TEST(CheckpointedIssuerTest, PipelinedSpansCheckpointAtTheBoundary) {
-  const ChainRig& rig = Rig();
-  IssuerPaths p = FreshIssuerPaths("ckpt_pipelined", 0, 3);
-  {
-    auto ci = OpenIssuer(p);
-    ASSERT_TRUE(ci.ok()) << ci.message();
-    ASSERT_TRUE(ci.value().CertifyBlocksPipelined(rig.blocks).ok());
-    // One cadence check at the span boundary: a single checkpoint at the
-    // final tip, never a mid-span (potentially inconsistent) snapshot.
-    EXPECT_EQ(ci.value().LastCheckpointHeight(), 12u);
-    EXPECT_EQ(ci.value().Store().Heights(),
-              (std::vector<std::uint64_t>{12}));
-  }
-  auto ci = OpenIssuer(p);
-  ASSERT_TRUE(ci.ok()) << ci.message();
-  EXPECT_EQ(ci.value().BootstrapHeight(), 12u);
-  EXPECT_EQ(ci.value().Durable().Recovery().blocks_replayed, 0u);
 }
 
 TEST(SuperlightBootstrapTest, AcceptsCheckpointAndRejectsTamperedDigest) {

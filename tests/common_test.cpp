@@ -1,6 +1,7 @@
 // Unit tests for the shared byte, serialization, status, and RNG utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -202,6 +203,32 @@ TEST(ArenaTest, ChurnStaysInsideCarvedSlots) {
   // by geometric chunk growth), not the allocation count.
   EXPECT_LE(arena.SlotCount(), 512u);
   EXPECT_EQ(Tracked::live, static_cast<int>(live.size()));
+  for (Tracked* p : live) arena.Delete(p);
+  EXPECT_EQ(Tracked::live, 0);
+}
+
+TEST(ArenaTest, FirstChunkIsSmallThenGrowthDoublesUpToTheCap) {
+  common::Arena<Tracked> arena;
+  EXPECT_EQ(arena.SlotCount(), 0u);
+  std::vector<Tracked*> live;
+  live.push_back(arena.New(0));
+  const std::size_t first = arena.SlotCount();
+  EXPECT_GE(first, 1u);
+  EXPECT_LE(first, 8u);
+  std::size_t prev = first;
+  std::size_t max_step = 0;
+  while (live.size() < 40'000) {
+    live.push_back(arena.New(static_cast<int>(live.size())));
+    const std::size_t now = arena.SlotCount();
+    if (now == prev) continue;
+    const std::size_t step = now - prev;
+    // Each new chunk doubles the capacity until chunks reach the cap.
+    EXPECT_EQ(step, std::min<std::size_t>(prev, 8192)) << "at " << prev;
+    max_step = std::max(max_step, step);
+    prev = now;
+  }
+  EXPECT_EQ(max_step, 8192u);
+  EXPECT_LT(arena.SlotCount() - live.size(), 8192u);
   for (Tracked* p : live) arena.Delete(p);
   EXPECT_EQ(Tracked::live, 0);
 }

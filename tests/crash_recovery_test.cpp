@@ -259,29 +259,6 @@ TEST(CrashRecoveryTest, BothLogsTornRecoverTogether) {
   ExpectLogsMatchReference(ci.value());
 }
 
-TEST(CrashRecoveryTest, PipelinedSpanCrashRecoversByteIdentical) {
-  const ChainRig& rig = ReferenceChain();
-  LogPaths paths = FreshPaths("pipelined_crash");
-  CrashGuard guard;
-  {
-    auto ci = DurableCertificateIssuer::Open(rig.config, rig.registry,
-                                             MakeOptions(paths));
-    ASSERT_TRUE(ci.ok());
-    // Crash on the 4th Ecall of the span: blocks 1-3 fully durable, the
-    // prepare thread likely committed further ahead in memory — all of
-    // which dies with the process, leaving only the logs.
-    CrashPoints::Global().Arm("issuer.pipeline.ecall", 4);
-    EXPECT_THROW(ci.value().CertifyBlocksPipelined(rig.blocks), CrashInjected);
-  }
-  auto ci = DurableCertificateIssuer::Open(rig.config, rig.registry,
-                                           MakeOptions(paths));
-  ASSERT_TRUE(ci.ok()) << ci.message();
-  EXPECT_EQ(ci.value().Issuer().Node().Height(), 3u);
-  std::vector<chain::Block> rest(rig.blocks.begin() + 3, rig.blocks.end());
-  ASSERT_TRUE(ci.value().CertifyBlocksPipelined(rest).ok());
-  ExpectLogsMatchReference(ci.value());
-}
-
 TEST(CrashRecoveryTest, AnnounceSinkErrorAbortsButLogsStayConsistent) {
   const ChainRig& rig = ReferenceChain();
   LogPaths paths = FreshPaths("announce_error");
@@ -366,8 +343,8 @@ TEST(SealedIssuerTest, RestoredIssuerProducesByteIdenticalCerts) {
 }
 
 // The soak: many seeded cycles, each arming a random kill site with a random
-// hit countdown, crashing a durable issuer mid-chain (serial or pipelined,
-// fsync on or off), recovering, finishing the chain, and asserting the final
+// hit countdown, crashing a durable issuer mid-chain (fsync on or off),
+// recovering, finishing the chain, and asserting the final
 // logs are byte-identical to the crash-free reference — with every announced
 // certificate present verbatim in the durable log (announced => durable).
 TEST(CrashSoakTest, SeededCrashRecoverCyclesAreExact) {
@@ -388,7 +365,6 @@ TEST(CrashSoakTest, SeededCrashRecoverCyclesAreExact) {
       "certlog.append.torn",
       "certlog.append.after",
       "issuer.process.ecall",
-      "issuer.pipeline.ecall",
       "issuer.durable.begin",
       "issuer.durable.after_block_append",
       "issuer.durable.before_announce",
@@ -404,10 +380,8 @@ TEST(CrashSoakTest, SeededCrashRecoverCyclesAreExact) {
     LogPaths paths = FreshPaths("soak");
     const std::string& site = sites[rng.NextBelow(sites.size())];
     const std::uint64_t countdown = 1 + rng.NextBelow(rig.blocks.size());
-    const bool pipelined = rng.NextBelow(2) == 1;
     const bool fsync = rng.NextBelow(2) == 1;
     SCOPED_TRACE(site + " countdown=" + std::to_string(countdown) +
-                 (pipelined ? " pipelined" : " serial") +
                  (fsync ? " fsync" : ""));
 
     // (height, cert bytes) of every announcement that reached a client.
@@ -426,14 +400,9 @@ TEST(CrashSoakTest, SeededCrashRecoverCyclesAreExact) {
       ASSERT_TRUE(ci.ok()) << ci.message();
       CrashPoints::Global().Arm(site, countdown);
       try {
-        if (pipelined) {
-          Status st = ci.value().CertifyBlocksPipelined(rig.blocks);
+        for (const chain::Block& blk : rig.blocks) {
+          Status st = ci.value().CertifyBlock(blk);
           ASSERT_TRUE(st.ok()) << st.message();
-        } else {
-          for (const chain::Block& blk : rig.blocks) {
-            Status st = ci.value().CertifyBlock(blk);
-            ASSERT_TRUE(st.ok()) << st.message();
-          }
         }
       } catch (const CrashInjected& e) {
         crashed = true;
@@ -505,8 +474,8 @@ TEST(CrashSoakTest, CheckpointedSeededCrashRecoverCyclesAreExact) {
     if (v > 0) cycles = v;
   }
   // Sites firing once per checkpoint (or less) need countdown 1 to be
-  // reachable in every drive mode; rotation/append sites fire often enough
-  // for a randomized countdown.
+  // reachable; rotation/append sites fire often enough for a randomized
+  // countdown.
   const std::vector<std::string> once_sites = {
       "ckpt.seal.begin",        "ckpt.seal.torn",
       "ckpt.seal.commit",       "ckpt.prune.unlink",
@@ -548,9 +517,7 @@ TEST(CrashSoakTest, CheckpointedSeededCrashRecoverCyclesAreExact) {
     const std::string& site = once ? once_sites[rng.NextBelow(once_sites.size())]
                                    : multi_sites[rng.NextBelow(multi_sites.size())];
     const std::uint64_t countdown = once ? 1 : 1 + rng.NextBelow(2);
-    const bool pipelined = rng.NextBelow(2) == 1;
-    SCOPED_TRACE(site + " countdown=" + std::to_string(countdown) +
-                 (pipelined ? " pipelined" : " serial"));
+    SCOPED_TRACE(site + " countdown=" + std::to_string(countdown));
 
     std::vector<std::pair<std::uint64_t, Bytes>> announced;
     auto sink = [&](const chain::Block& blk, const BlockCertificate& cert) {
@@ -572,14 +539,9 @@ TEST(CrashSoakTest, CheckpointedSeededCrashRecoverCyclesAreExact) {
       ASSERT_TRUE(ci.ok()) << ci.message();
       CrashPoints::Global().Arm(site, countdown);
       try {
-        if (pipelined) {
-          Status st = ci.value().CertifyBlocksPipelined(rig.blocks);
+        for (const chain::Block& blk : rig.blocks) {
+          Status st = ci.value().CertifyBlock(blk);
           ASSERT_TRUE(st.ok()) << st.message();
-        } else {
-          for (const chain::Block& blk : rig.blocks) {
-            Status st = ci.value().CertifyBlock(blk);
-            ASSERT_TRUE(st.ok()) << st.message();
-          }
         }
       } catch (const CrashInjected& e) {
         crashed = true;

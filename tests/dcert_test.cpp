@@ -122,7 +122,7 @@ TEST(EnclaveSecurityTest, RejectsDroppedAndInjectedTransactions) {
   TestRig rig;
   chain::Block blk = rig.NextBlock(4);
   chain::Block dropped = blk;
-  dropped.txs.pop_back();
+  dropped.txs.Mutable().pop_back();
   EXPECT_FALSE(rig.ci->ProcessBlock(dropped).ok());
 }
 

@@ -31,6 +31,21 @@ TEST(MbTreeTest, EmptyTree) {
   EXPECT_TRUE(results.value().empty());
 }
 
+TEST(MbTreeTest, OneEntryTreeCarvesFewArenaSlots) {
+  // A HistoricalIndex holds one MB-tree per account, most of them tiny: the
+  // fixed heap of a small tree is what its arena carves up front.
+  MbTree tree;
+  EXPECT_EQ(tree.ArenaSlots(), 0u);
+  tree.Insert(1, Val(1));
+  EXPECT_GE(tree.ArenaSlots(), 1u);
+  EXPECT_LE(tree.ArenaSlots(), 4u);
+  // A full tree still grows geometrically: slots stay within a small factor
+  // of the node count.
+  MbTree big = BuildSequential(5000);
+  EXPECT_GE(big.ArenaSlots(), 5000u / MbTree::kFanout);
+  EXPECT_LE(big.ArenaSlots(), 4 * 5000u / MbTree::kFanout);
+}
+
 TEST(MbTreeTest, InsertAndQuerySmall) {
   MbTree tree = BuildSequential(5);
   EXPECT_EQ(tree.Size(), 5u);

@@ -1,6 +1,6 @@
 // Determinism proofs for the parallel hot paths: whatever the scheduling,
-// the parallel implementations must produce byte-identical proofs, roots,
-// digests, and certificates to their serial counterparts.
+// the parallel implementations must produce byte-identical proofs, roots
+// and digests to their serial counterparts.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,9 +9,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "crypto/sha256.h"
-#include "dcert/issuer.h"
 #include "mht/smt.h"
-#include "workloads/workloads.h"
 
 namespace dcert {
 namespace {
@@ -113,80 +111,6 @@ TEST(ParallelEquivalenceTest, UpdateBatchAutoPathMatches) {
   for (const auto& [k, vh] : batch) a.Update(k, vh);
   b.UpdateBatch(batch);
   EXPECT_EQ(a.Root(), b.Root());
-}
-
-TEST(ParallelEquivalenceTest, PipelinedCertsMatchSerialProcessBlock) {
-  chain::ChainConfig config;
-  config.difficulty_bits = 4;
-  auto registry = workloads::MakeBlockbenchRegistry(2);
-  workloads::AccountPool accounts(20, 42);
-  workloads::WorkloadGenerator::Params params;
-  params.kind = workloads::Workload::kKvStore;
-  params.instances_per_workload = 2;
-  params.kv_keys = 50;
-  workloads::WorkloadGenerator gen(params, accounts);
-
-  chain::FullNode miner_node(config, registry);
-  chain::Miner miner(miner_node);
-  std::vector<chain::Block> blocks;
-  for (int i = 0; i < 8; ++i) {
-    auto blk = miner.MineBlock(gen.NextBlockTxs(10),
-                               1700000000 + miner_node.Height() * 15);
-    ASSERT_TRUE(blk.ok()) << blk.message();
-    ASSERT_TRUE(miner_node.SubmitBlock(blk.value()).ok());
-    blocks.push_back(std::move(blk.value()));
-  }
-
-  core::CertificateIssuer serial_ci(config, registry);
-  core::CertificateIssuer pipe_ci(config, registry);
-
-  std::vector<core::BlockCertificate> serial_certs;
-  for (const chain::Block& blk : blocks) {
-    auto cert = serial_ci.ProcessBlock(blk);
-    ASSERT_TRUE(cert.ok()) << cert.message();
-    serial_certs.push_back(cert.value());
-  }
-
-  auto pipe_certs = pipe_ci.ProcessBlocksPipelined(blocks);
-  ASSERT_TRUE(pipe_certs.ok()) << pipe_certs.message();
-  ASSERT_EQ(pipe_certs.value().size(), serial_certs.size());
-  for (std::size_t i = 0; i < serial_certs.size(); ++i) {
-    EXPECT_EQ(pipe_certs.value()[i].Serialize(), serial_certs[i].Serialize())
-        << "block " << i;
-  }
-
-  // Node state, tip certificate, and timing window agree with serial runs.
-  EXPECT_EQ(pipe_ci.Node().Tip().header.Hash(),
-            serial_ci.Node().Tip().header.Hash());
-  EXPECT_EQ(pipe_ci.Node().State().Root(), serial_ci.Node().State().Root());
-  ASSERT_TRUE(pipe_ci.LatestCert().has_value());
-  EXPECT_EQ(pipe_ci.LatestCert()->Serialize(),
-            serial_ci.LatestCert()->Serialize());
-  EXPECT_EQ(pipe_ci.LastTiming().blocks, blocks.size());
-  EXPECT_EQ(pipe_ci.LastTiming().ecalls, blocks.size());
-  EXPECT_GT(pipe_ci.LastTiming().span_wall_ns, 0u);
-
-  // The pipelined chain keeps extending normally afterwards.
-  auto blk = miner.MineBlock(gen.NextBlockTxs(10),
-                             1700000000 + miner_node.Height() * 15);
-  ASSERT_TRUE(blk.ok());
-  ASSERT_TRUE(miner_node.SubmitBlock(blk.value()).ok());
-  auto tail = pipe_ci.ProcessBlock(blk.value());
-  ASSERT_TRUE(tail.ok()) << tail.message();
-}
-
-TEST(ParallelEquivalenceTest, PipelinedRejectsNonExtendingSpan) {
-  chain::ChainConfig config;
-  config.difficulty_bits = 4;
-  auto registry = workloads::MakeBlockbenchRegistry(1);
-  core::CertificateIssuer ci(config, registry);
-  EXPECT_FALSE(ci.ProcessBlocksPipelined({}).ok());
-
-  chain::Block bogus;  // does not extend the tip
-  bogus.header.height = 5;
-  auto result = ci.ProcessBlocksPipelined({bogus});
-  EXPECT_FALSE(result.ok());
-  EXPECT_FALSE(ci.LatestCert().has_value());
 }
 
 }  // namespace

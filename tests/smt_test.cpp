@@ -23,6 +23,15 @@ TEST(SmtTest, EmptyTreeRootIsDefault) {
   EXPECT_TRUE(tree.Get(Key("missing")).IsZero());
 }
 
+TEST(SmtTest, OneEntryTreeCarvesFewArenaSlots) {
+  SparseMerkleTree tree;
+  EXPECT_EQ(tree.ArenaSlots(), 0u);
+  tree.Update(Key("only"), Val("only"));
+  EXPECT_GE(tree.ArenaSlots(), 1u);
+  EXPECT_LE(tree.ArenaSlots(), 4u);
+  EXPECT_EQ(tree.Get(Key("only")), Val("only"));
+}
+
 TEST(SmtTest, InsertGetRoundTrip) {
   SparseMerkleTree tree;
   tree.Update(Key("a"), Val("a"));

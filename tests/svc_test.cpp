@@ -550,7 +550,14 @@ TEST(SvcTcpTest, ConnectionChurnLeavesFdAndThreadCountsFlat) {
     // Dropping the connection closes the client fd; the server's reader must
     // notice EOF, close its fd, and deregister without waiting for Stop().
   }
-  for (int i = 0; i < 500 && tcp.Stats().open_connections > 0; ++i) {
+  // Wait for the server to accept the connections still in the listen
+  // backlog (their clients have already closed them) and to reap them all.
+  for (int i = 0; i < 500; ++i) {
+    const TcpServerStats now = tcp.Stats();
+    if (now.open_connections == 0 &&
+        now.accepted >= static_cast<std::uint64_t>(kCycles)) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   TcpServerStats stats = tcp.Stats();

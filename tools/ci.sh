@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: a Release build running the full tier-1 suite, then a
 # ThreadSanitizer build (DCERT_SANITIZE=thread) running the threaded tests
-# that exercise the pipeline/thread-pool/SMT parallel paths, the serving
+# that exercise the thread-pool/SMT/batched-signature parallel paths, the serving
 # subsystem, and the obs metrics hammering, then an AddressSanitizer build
 # (DCERT_SANITIZE=address) running the server/transport/obs tests (socket
 # and buffer handling), then two legs for the SIMD hashing dispatch: the
@@ -21,10 +21,10 @@
 # the lock-free recording paths.
 #
 # Both sanitizer legs also run the crash-recovery suite (CrashRecovery +
-# CrashSoak): the soak repeatedly tears the pipelined issuer down mid-span
-# (thread cancel/join under an injected exception) and recovers, which is
-# exactly where TSan finds teardown races and ASan finds use-after-frees in
-# the store/issuer lifecycles. The seeded cycle count is bounded via
+# CrashSoak): the soak repeatedly tears the durable issuer down mid-chain
+# under an injected exception and recovers, which is exactly where TSan
+# finds teardown races and ASan finds use-after-frees in the store/issuer
+# lifecycles. The seeded cycle count is bounded via
 # DCERT_CRASH_SOAK_CYCLES so the sanitizer runs stay inside the per-test
 # timeout (the Release leg runs the full default of 200 cycles).
 #
@@ -76,7 +76,14 @@ echo "=== [1b/5] bench_serving --fleet 1x1 smoke (multi-process topology) ==="
 "${PREFIX}-release/bench/bench_serving" --fleet 1x1 \
   --requests 200 --rps 4000 --blocks 4 --txs 8 >/dev/null
 
-echo "=== [1c/5] bench_recovery --verify (10k-chain tail-only replay) ==="
+echo "=== [1c/5] perfbench smoke (every benchmark workload's correctness gate) ==="
+# Runs certify, query_hot and query_churn at a tiny size, untraced and
+# traced: every declared metric must be present, every certificate and
+# verified reply must check out, and the certificate-chain digest of a seed
+# must repeat. Builds its own Release tree under .bench_build/.
+python3 perfbench/smoke.py
+
+echo "=== [1d/5] bench_recovery --verify (10k-chain tail-only replay) ==="
 # Builds a 10k-block chain under checkpoint cadence and recovers it: exits
 # nonzero unless recovery went through a checkpoint (ci.ckpt.loaded advanced,
 # bootstrap height > 0) and replayed at most one interval of tail — i.e. the
@@ -90,19 +97,20 @@ echo "=== [2/5] TSan build + threaded tests ==="
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
   thread_pool_test parallel_equivalence_test smt_test dcert_test svc_test \
-  fleet_test obs_test record_log_test crash_recovery_test ckpt_test chaos_test
+  fleet_test obs_test record_log_test crash_recovery_test ckpt_test chaos_test \
+  certify_once_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos'
+  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|VerifyTxSignatures|CertifyOnce'
   # Svc matches SvcFaultTest/SvcTcpTest/SvcStatsTest; the obs suites cover
   # the concurrent counter/histogram/trace hammering. Fleet|ShardMap|
   # ShardServing run the router fan-out, scatter-gather fan-out threads, and
   # the pooled-connection paths — the fleet's concurrency lives there.
   # CrashSoak includes the checkpointed seeded soak (crash sites inside
   # rotation, compaction rename, and checkpoint seal); Checkpoint matches
-  # the ckpt format/store/issuer/SP-export suites, incl. the pipelined
-  # span-boundary cadence that TSan watches for teardown races.
+  # the ckpt format/store/issuer/SP-export suites. VerifyTxSignatures and
+  # CertifyOnce run the batched signature check across the shared pool.
 
 echo "=== [3/5] ASan build + serving/transport tests ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=address
@@ -119,7 +127,7 @@ ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
 
 echo "=== [4/5] TSan + forced-scalar hashing (dispatch fallback path) ==="
 # Same TSan build, but every digest takes the portable scalar road. The
-# threaded SMT/pipeline tests then certify that the batch-hash sharding and
+# threaded SMT tests then certify that the batch-hash sharding and
 # the thread_local scratch in the fallback are race-free; the Sha256 suite
 # (incl. the dispatch tests) runs to pin the resolved backends.
 DCERT_FORCE_SCALAR_HASH=1 DCERT_CRASH_SOAK_CYCLES=50 \
