@@ -1,5 +1,6 @@
 #include "fleet/fleet_client.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -8,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/serialize.h"
 #include "crypto/sha256.h"
 #include "dcert/superlight.h"
 
@@ -59,7 +61,8 @@ FleetClient::FleetClient(ShardMap map, BackendConnector backends,
       breaker_skips_(std::make_shared<obs::Counter>()),
       hedges_(std::make_shared<obs::Counter>()),
       hedge_wins_(std::make_shared<obs::Counter>()),
-      hedge_wasted_(std::make_shared<obs::Counter>()) {
+      hedge_wasted_(std::make_shared<obs::Counter>()),
+      tip_validations_(std::make_shared<obs::Counter>()) {
   auto& reg = obs::MetricsRegistry::Global();
   reg.Register("fleet.client.queries", queries_);
   reg.Register("fleet.client.subqueries", subqueries_);
@@ -74,6 +77,7 @@ FleetClient::FleetClient(ShardMap map, BackendConnector backends,
   reg.Register("fleet.client.hedges", hedges_);
   reg.Register("fleet.client.hedge_wins", hedge_wins_);
   reg.Register("fleet.client.hedge_wasted", hedge_wasted_);
+  reg.Register("fleet.client.tip_validations", tip_validations_);
 }
 
 FleetClient::~FleetClient() { ReapHedges(/*join_all=*/true); }
@@ -130,6 +134,55 @@ void FleetClient::Return(std::uint32_t shard, std::uint32_t replica,
   pool_[{shard, replica}].push_back(std::move(client));
 }
 
+Status FleetClient::ValidateTip(std::uint32_t shard, const svc::TipInfo& tip,
+                                const core::BlockCertificate** offending) {
+  Encoder enc;
+  enc.Blob(tip.header.Serialize());
+  enc.Blob(tip.block_cert.Serialize());
+  enc.HashField(tip.index_digest);
+  enc.Blob(tip.index_cert.Serialize());
+  const Hash256 key = crypto::Sha256::Digest(enc.bytes());
+  {
+    std::lock_guard<std::mutex> lk(tip_memo_mu_);
+    const auto it = tip_memo_.find(shard);
+    if (it != tip_memo_.end() &&
+        std::find(it->second.keys.begin(), it->second.keys.end(), key) !=
+            it->second.keys.end()) {
+      return Status::Ok();
+    }
+  }
+
+  // Exactly what a standalone superlight client checks: the block cert signs
+  // the header, the index cert binds the digest, both from the pinned
+  // enclave.
+  tip_validations_->Add(1);
+  core::SuperlightClient verifier(config_.expected_measurement);
+  if (Status st = verifier.ValidateAndAccept(tip.header, tip.block_cert);
+      !st) {
+    *offending = &tip.block_cert;
+    return st.WithContext("fleet: block cert");
+  }
+  if (Status st = verifier.AcceptIndexCert(tip.header, tip.index_cert,
+                                           tip.index_digest, "historical");
+      !st) {
+    *offending = &tip.index_cert;
+    return st.WithContext("fleet: index cert");
+  }
+
+  std::lock_guard<std::mutex> lk(tip_memo_mu_);
+  TipRing& ring = tip_memo_[shard];
+  if (std::find(ring.keys.begin(), ring.keys.end(), key) != ring.keys.end()) {
+    return Status::Ok();  // a concurrent subquery validated it too
+  }
+  if (ring.keys.size() < kTipMemoSlots) {
+    ring.keys.push_back(key);
+  } else {
+    ring.keys[ring.next] = key;
+    ring.next = (ring.next + 1) % kTipMemoSlots;
+  }
+  return Status::Ok();
+}
+
 Result<FleetClient::Slice> FleetClient::QueryReplica(
     const ShardMap& map, svc::Op op, const ShardMap::SubQuery& sub,
     std::uint64_t account, std::uint32_t replica, bool* stale) {
@@ -148,7 +201,8 @@ Result<FleetClient::Slice> FleetClient::QueryReplica(
   // A reply that fails cryptographic verification is EVIDENCE of misbehavior
   // (not bad luck): record the query, a digest of what was served, and the
   // certificate the replica presented, then quarantine it fleet-wide.
-  auto misbehave = [&](const Status& verdict, ByteView reply_payload,
+  auto misbehave = [&](const Status& verdict,
+                       const query::HistoricalQueryProof& proof,
                        const core::BlockCertificate* cert) -> R {
     verify_failures_->Add(1);
     MisbehaviorEvidence ev;
@@ -159,7 +213,7 @@ Result<FleetClient::Slice> FleetClient::QueryReplica(
     ev.account = account;
     ev.from_height = sub.from_height;
     ev.to_height = sub.to_height;
-    ev.reply_digest = crypto::Sha256::Digest(reply_payload);
+    ev.reply_digest = crypto::Sha256::Digest(proof.Serialize());
     if (cert != nullptr) ev.offending_cert = cert->Serialize();
     ev.verdict = verdict.message();
     health_->ReportMisbehavior(ev);
@@ -186,7 +240,7 @@ Result<FleetClient::Slice> FleetClient::QueryReplica(
                                                 account, sub.from_height,
                                                 sub.to_height);
     if (!reply.ok()) return benign(reply.status());
-    const Bytes proof_bytes = reply.value().proof.Serialize();
+    const query::HistoricalQueryProof& proof = reply.value().proof;
     auto tip = client->FetchTipSharded(map.Version(), sub.shard_id);
     if (!tip.ok()) return benign(tip.status());
     if (tip.value().header.height != reply.value().tip_height) {
@@ -194,46 +248,35 @@ Result<FleetClient::Slice> FleetClient::QueryReplica(
         // A tip can only advance; going backwards between two calls on the
         // same connection means the replica is lying or broken.
         return misbehave(Status::Error("fleet: replica tip went backwards"),
-                         proof_bytes, &tip.value().block_cert);
+                         proof, &tip.value().block_cert);
       }
       continue;  // a block landed between query and tip fetch; retry at it
     }
 
-    // Verify exactly as a standalone superlight client would: certificates
-    // first (block cert signs the header, index cert binds the digest, both
-    // from the pinned enclave), then the proof against the certified digest.
-    core::SuperlightClient verifier(config_.expected_measurement);
-    if (Status st = verifier.ValidateAndAccept(tip.value().header,
-                                               tip.value().block_cert);
-        !st) {
-      return misbehave(st.WithContext("fleet: block cert"), proof_bytes,
-                       &tip.value().block_cert);
-    }
-    if (Status st = verifier.AcceptIndexCert(
-            tip.value().header, tip.value().index_cert,
-            tip.value().index_digest, "historical");
-        !st) {
-      return misbehave(st.WithContext("fleet: index cert"), proof_bytes,
-                       &tip.value().index_cert);
+    // Certificates first (once per distinct tip), then the proof against
+    // the certified digest on every subquery.
+    const core::BlockCertificate* offending = nullptr;
+    if (Status st = ValidateTip(sub.shard_id, tip.value(), &offending); !st) {
+      return misbehave(st, proof, offending);
     }
     Slice out;
     out.tip_height = tip.value().header.height;
     if (op == svc::Op::kHistorical) {
       auto versions = query::HistoricalIndex::VerifyQuery(
           tip.value().index_digest, account, sub.from_height, sub.to_height,
-          reply.value().proof);
+          proof);
       if (!versions.ok()) {
         return misbehave(versions.status().WithContext("fleet: query proof"),
-                         proof_bytes, &tip.value().block_cert);
+                         proof, &tip.value().block_cert);
       }
       out.versions = std::move(versions.value());
     } else {
       auto agg = query::HistoricalIndex::VerifyAggregateQuery(
           tip.value().index_digest, account, sub.from_height, sub.to_height,
-          reply.value().proof);
+          proof);
       if (!agg.ok()) {
         return misbehave(agg.status().WithContext("fleet: aggregate proof"),
-                         proof_bytes, &tip.value().block_cert);
+                         proof, &tip.value().block_cert);
       }
       out.aggregate = agg.value();
     }
@@ -633,6 +676,7 @@ FleetClientStats FleetClient::Stats() const {
   s.hedges = hedges_->Value();
   s.hedge_wins = hedge_wins_->Value();
   s.hedge_wasted = hedge_wasted_->Value();
+  s.tip_validations = tip_validations_->Value();
   return s;
 }
 

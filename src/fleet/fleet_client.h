@@ -1,12 +1,22 @@
 // Client-side verified scatter-gather over a shard fleet. A query window is
 // Split() at band boundaries; each subquery is answered by one shard and
 // verified INDEPENDENTLY before merging — per subquery the client fetches
-// the shard's certified tip, validates the block + index certificates with a
-// fresh SuperlightClient (pinned enclave measurement), and checks the query
-// proof against the certified index digest. Nothing on the path — router,
-// shard, network — is trusted; a corrupt or fabricated reply fails
-// verification and the client fails over to another replica instead of
-// accepting it.
+// the shard's certified tip, checks that the reply was built against it, and
+// checks the query proof against the tip's certified index digest. Nothing
+// on the path — router, shard, network — is trusted; a corrupt or fabricated
+// reply fails verification and the client fails over to another replica
+// instead of accepting it.
+//
+// The tip's certificates (block cert over the header, index cert binding the
+// digest, both from the pinned enclave measurement) are validated once per
+// distinct tip, as the superlight client of Alg. 3 does: a validated tip is
+// remembered by the SHA-256 of every byte the validation reads (header,
+// block cert, index digest, index cert), in a small per-shard ring shared by
+// every subquery, hedge and fan-out thread. Validation is a pure function of
+// those bytes (a fresh SuperlightClient holds no state, so chain selection
+// never applies), so a remembered tip is exactly one that would pass again;
+// any changed byte misses and is validated in full. Only tips that passed are
+// remembered. The proof is still verified per subquery.
 //
 // Failure handling per subquery:
 //  * transport faults / kBusy   — retried inside SpClient (PR 3 policy),
@@ -88,6 +98,7 @@ struct FleetClientStats {
   std::uint64_t hedges = 0;              // secondary attempts launched
   std::uint64_t hedge_wins = 0;          // secondary delivered first
   std::uint64_t hedge_wasted = 0;        // losers that completed anyway
+  std::uint64_t tip_validations = 0;     // full tip certificate validations
 };
 
 class FleetClient {
@@ -171,6 +182,13 @@ class FleetClient {
                                    std::uint32_t secondary, bool* stale,
                                    bool* used_secondary);
 
+  /// Validates a fetched tip's block and index certificates against the
+  /// pinned measurement, unless this exact tip already passed (see the
+  /// header comment). On failure returns the verdict and points *offending
+  /// at the certificate that failed; a failed tip is not remembered.
+  Status ValidateTip(std::uint32_t shard, const svc::TipInfo& tip,
+                     const core::BlockCertificate** offending);
+
   std::unique_ptr<svc::SpClient> Borrow(std::uint32_t shard,
                                         std::uint32_t replica);
   void Return(std::uint32_t shard, std::uint32_t replica,
@@ -196,6 +214,17 @@ class FleetClient {
 
   std::shared_ptr<FleetHealth> health_;
 
+  /// Verified-tip memo: per shard, the keys of the last kTipMemoSlots tips
+  /// that passed ValidateTip, overwritten round-robin. A few slots cover a
+  /// lagging replica serving the previous tip next to a current one.
+  static constexpr std::size_t kTipMemoSlots = 4;
+  struct TipRing {
+    std::vector<Hash256> keys;
+    std::size_t next = 0;  // slot the next insert overwrites once full
+  };
+  std::mutex tip_memo_mu_;
+  std::map<std::uint32_t, TipRing> tip_memo_;
+
   /// Loser threads from hedged attempts, joined once their slot reports
   /// done (swept on later hedges, drained by the destructor).
   std::mutex hedge_mu_;
@@ -215,6 +244,7 @@ class FleetClient {
   std::shared_ptr<obs::Counter> hedges_;
   std::shared_ptr<obs::Counter> hedge_wins_;
   std::shared_ptr<obs::Counter> hedge_wasted_;
+  std::shared_ptr<obs::Counter> tip_validations_;
 };
 
 }  // namespace dcert::fleet

@@ -1,18 +1,21 @@
 #include "svc/response_cache.h"
 
+#include <algorithm>
+
 #include "common/serialize.h"
 #include "crypto/sha256.h"
 
 namespace dcert::svc {
 
-ResponseCache::ResponseCache(std::size_t shards,
-                             std::size_t capacity_per_shard)
-    : capacity_per_shard_(capacity_per_shard == 0 ? 1 : capacity_per_shard),
+ResponseCache::ResponseCache(std::size_t shards, std::size_t capacity_bytes)
+    : shard_budget_(std::max<std::size_t>(
+          1, capacity_bytes / std::max<std::size_t>(1, shards))),
       hits_(std::make_shared<obs::Counter>()),
       misses_(std::make_shared<obs::Counter>()),
       evictions_(std::make_shared<obs::Counter>()),
       invalidations_(std::make_shared<obs::Counter>()),
-      invalidations_skipped_(std::make_shared<obs::Counter>()) {
+      invalidations_skipped_(std::make_shared<obs::Counter>()),
+      bytes_(std::make_shared<obs::Gauge>()) {
   if (shards == 0) shards = 1;
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
@@ -24,6 +27,7 @@ ResponseCache::ResponseCache(std::size_t shards,
   reg.Register("svc.cache.evictions", evictions_);
   reg.Register("svc.cache.invalidations", invalidations_);
   reg.Register("svc.cache.invalidations_skipped", invalidations_skipped_);
+  reg.Register("svc.cache.bytes", bytes_);
 }
 
 Hash256 ResponseCache::Key(Op op, std::uint64_t account,
@@ -56,19 +60,26 @@ std::optional<Bytes> ResponseCache::Lookup(const Hash256& key) {
 }
 
 void ResponseCache::Insert(const Hash256& key, Bytes reply) {
+  if (reply.size() > shard_budget_) return;  // would evict the whole shard
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {  // racing miss computed the same reply
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    it->second->second = std::move(reply);
     return;
   }
+  const std::size_t size = reply.size();
   shard.lru.emplace_front(key, std::move(reply));
   shard.map[key] = shard.lru.begin();
-  if (shard.lru.size() > capacity_per_shard_) {
+  shard.bytes += size;
+  bytes_->Add(static_cast<std::int64_t>(size));
+  // The front entry fits the budget on its own, so this stops before it.
+  while (shard.bytes > shard_budget_) {
+    const std::size_t victim = shard.lru.back().second.size();
     shard.map.erase(shard.lru.back().first);
     shard.lru.pop_back();
+    shard.bytes -= victim;
+    bytes_->Sub(static_cast<std::int64_t>(victim));
     evictions_->Add(1);
   }
 }
@@ -78,6 +89,8 @@ void ResponseCache::InvalidateAll() {
     std::lock_guard<std::mutex> lk(shard->mu);
     shard->lru.clear();
     shard->map.clear();
+    bytes_->Sub(static_cast<std::int64_t>(shard->bytes));
+    shard->bytes = 0;
   }
   invalidations_->Add(1);
 }
@@ -93,6 +106,10 @@ CacheStats ResponseCache::Stats() const {
   s.evictions = evictions_->Value();
   s.invalidations = invalidations_->Value();
   s.invalidations_skipped = invalidations_skipped_->Value();
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard->mu);
+    s.bytes += shard->bytes;
+  }
   return s;
 }
 

@@ -21,7 +21,7 @@ SpServer::SpServer(SpServerConfig config)
     : config_(config),
       start_time_(std::chrono::steady_clock::now()),
       pool_(config.workers),
-      cache_(config.cache_shards, config.cache_capacity_per_shard),
+      cache_(config.cache_shards, config.cache_capacity_bytes),
       index_("historical"),
       served_(std::make_shared<obs::Counter>()),
       shed_(std::make_shared<obs::Counter>()),

@@ -5,8 +5,9 @@
 // own live HistoricalIndex from announced blocks (validating the CI's block
 // and index certificates exactly as a superlight client would, so a tampered
 // announcement never enters the index), serves authenticated proofs under a
-// reader/writer lock, and caches encoded replies in a sharded LRU keyed by
-// (query, tip height) that is flushed whenever a new certified block lands.
+// reader/writer lock, and caches encoded replies in a byte-bounded sharded
+// LRU keyed by (query, tip height) that is flushed whenever a new certified
+// block lands.
 //
 // Admission control: at most `max_queue` requests may be admitted
 // (queued + executing) at once; beyond that the transport thread replies
@@ -42,9 +43,14 @@ struct SpServerConfig {
   std::size_t workers = 4;
   /// Admitted-request bound (queued + executing); above it requests shed.
   std::size_t max_queue = 64;
+  /// Reply cache: `cache_capacity_bytes` of encoded reply frames in total,
+  /// split evenly across `cache_shards` lock shards. Each shard LRU-evicts
+  /// down to its share, and a reply larger than one share is not cached,
+  /// so the cache never holds more than the budget however fast clients
+  /// fill it between announcements.
   bool enable_cache = true;
   std::size_t cache_shards = 8;
-  std::size_t cache_capacity_per_shard = 256;
+  std::size_t cache_capacity_bytes = std::size_t{1} << 20;
   /// Enclave identity announcements must be certified by.
   Hash256 expected_measurement = core::ExpectedEnclaveMeasurement();
   /// Fleet shard assignment (map_version != 0 makes the server sharded):

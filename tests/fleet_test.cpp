@@ -4,12 +4,17 @@
 // invalidation), the untrusted router (forwarding, announce fan-out, local
 // shard-map serving), and the verified scatter-gather client — including a
 // seeded fault soak between the router and one shard replica proving zero
-// corrupt results are ever accepted, and the paranoid cross-check catching a
-// divergent (lagging) replica.
+// corrupt results are ever accepted, the paranoid cross-check catching a
+// divergent (lagging) replica, and the verified-tip memo (each distinct tip
+// validated once; a tampered tip or forged proof rejected even after an
+// honest tip of the same height is remembered).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chain/node.h"
@@ -142,6 +147,72 @@ struct LiveFleet {
     };
   }
 };
+
+/// Rewrites one connection's decoded tip or query replies in flight and
+/// re-encodes them, so the frames still parse and only verification can
+/// catch the lie. The test sets the hooks between queries.
+struct ReplyTamper {
+  std::function<void(svc::TipInfo&)> tip;
+  std::function<void(query::HistoricalQueryProof&)> proof;
+};
+
+class TamperingTransport final : public svc::ClientTransport {
+ public:
+  TamperingTransport(std::unique_ptr<svc::ClientTransport> inner,
+                     const ReplyTamper* tamper)
+      : inner_(std::move(inner)), tamper_(tamper) {}
+
+  Result<Bytes> Call(ByteView request,
+                     std::chrono::milliseconds deadline) override {
+    auto reply = inner_->Call(request, deadline);
+    if (!reply.ok()) return reply;
+    auto scoped = svc::DecodeShardScopedRequest(request);
+    if (!scoped.ok()) return reply;
+    auto op = svc::PeekOp(scoped.value().inner);
+    auto env = svc::DecodeReplyEnvelope(reply.value());
+    if (!op.ok() || !env.ok() || env.value().code != svc::Code::kOk) {
+      return reply;
+    }
+    if (op.value() == svc::Op::kTipFetch && tamper_->tip) {
+      auto tip = svc::DecodeTipBody(env.value().body);
+      if (!tip.ok()) return reply;
+      tamper_->tip(tip.value());
+      return svc::EncodeTipReply(tip.value());
+    }
+    if (op.value() == svc::Op::kHistorical && tamper_->proof) {
+      auto body = svc::DecodeQueryBody(env.value().body);
+      if (!body.ok()) return reply;
+      tamper_->proof(body.value().second);
+      return svc::EncodeQueryReply(body.value().first, body.value().second);
+    }
+    return reply;
+  }
+
+ private:
+  std::unique_ptr<svc::ClientTransport> inner_;
+  const ReplyTamper* tamper_;
+};
+
+FleetClient::BackendConnector TamperingConnector(LiveFleet& fleet,
+                                                 const ReplyTamper* tamper) {
+  return [&fleet, tamper](std::uint32_t s, std::uint32_t r) -> svc::Connector {
+    svc::LoopbackTransport* lb = fleet.transports[s][r].get();
+    return [lb, tamper] {
+      return Result<std::unique_ptr<svc::ClientTransport>>(
+          std::make_unique<TamperingTransport>(lb->Connect(), tamper));
+    };
+  };
+}
+
+/// Two height bands (two shards for a full-window query), `replicas` each.
+ShardMapConfig TwoBandConfig(std::uint32_t replicas) {
+  ShardMapConfig cfg;
+  cfg.version = 1;
+  cfg.height_bands = 2;
+  cfg.band_blocks = 4;
+  cfg.replicas = replicas;
+  return cfg;
+}
 
 // ---------------------------------------------------------------------------
 // Shard-map arithmetic
@@ -600,6 +671,140 @@ TEST(FleetClientTest, StaleClientRefreshesMapAndRecovers) {
   auto want = truth.Historical(chain.hot_account, 1, chain.tip_height);
   ASSERT_TRUE(want.ok()) << want.message();
   EXPECT_EQ(got.value(), want.value());
+}
+
+TEST(FleetClientTest, TipMemoValidatesEachDistinctTipOnce) {
+  // A static tip on two shards: the first query validates each shard's tip
+  // in full, every later subquery only verifies its proof.
+  LiveFleet fleet(TwoBandConfig(/*replicas=*/1));
+  const auto& chain = Chain();
+  FleetClient client(fleet.map, fleet.DirectConnector());
+  for (int i = 0; i < 200; ++i) {
+    auto got = client.Historical(chain.hot_account, 1, chain.tip_height);
+    ASSERT_TRUE(got.ok()) << got.message();
+  }
+  const auto stats = client.Stats();
+  EXPECT_EQ(stats.subqueries, 400u);
+  EXPECT_EQ(stats.verified, 400u);
+  EXPECT_EQ(stats.tip_validations, 2u);
+  EXPECT_EQ(stats.verify_failures, 0u);
+
+  // The HistoricalMany fan-out threads share the same memo.
+  std::vector<FleetClient::QuerySpec> specs;
+  for (std::uint64_t from = 1; from <= chain.tip_height; ++from) {
+    for (int rep = 0; rep < 8; ++rep) {
+      specs.push_back({chain.hot_account, from, chain.tip_height});
+    }
+  }
+  for (const auto& r : client.HistoricalMany(specs)) {
+    ASSERT_TRUE(r.ok()) << r.message();
+  }
+  EXPECT_EQ(client.Stats().tip_validations, 2u);
+}
+
+TEST(FleetClientTest, HedgedAttemptsShareTheTipMemo) {
+  // Two identical replicas per shard and a zero hedge delay, so secondaries
+  // fire: after a warm-up (whose racing attempts may each validate), hedged
+  // queries on either replica hit the memo.
+  LiveFleet fleet(TwoBandConfig(/*replicas=*/2));
+  const auto& chain = Chain();
+  FleetClientConfig config;
+  config.hedge = true;
+  config.hedge_min_delay_us = 0;
+  config.hedge_max_delay_us = 0;
+  FleetClient client(fleet.map, fleet.DirectConnector(), config);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client.Historical(chain.hot_account, 1, chain.tip_height).ok());
+  }
+  const std::uint64_t warm = client.Stats().tip_validations;
+  EXPECT_GE(warm, 2u);
+  EXPECT_LE(warm, 4u);  // at most both attempts of each shard's first query
+  for (int i = 0; i < 50; ++i) {
+    auto got = client.Historical(chain.hot_account, 1, chain.tip_height);
+    ASSERT_TRUE(got.ok()) << got.message();
+  }
+  EXPECT_GT(client.Stats().hedges, 0u);
+  EXPECT_EQ(client.Stats().tip_validations, warm);
+  EXPECT_EQ(client.Stats().verify_failures, 0u);
+}
+
+TEST(FleetClientTest, TamperedTipRejectedAfterHonestTipIsRemembered) {
+  // The replica first serves its honest tip (remembered), then the same
+  // header at the same height with one certificate byte or the index digest
+  // changed. Each variant misses the memo, fails full validation, and
+  // quarantines the replica with evidence; a failed tip is never
+  // remembered, so serving it again fails again. One shard, so every query
+  // fetches exactly the one tip under test.
+  struct Case {
+    const char* name;
+    std::function<void(svc::TipInfo&)> tamper;
+    const char* verdict;
+  };
+  const std::vector<Case> cases = {
+      {"block cert signature",
+       [](svc::TipInfo& t) { t.block_cert.sig.s.limbs[0] ^= 1; },
+       "block cert"},
+      {"index cert signature",
+       [](svc::TipInfo& t) { t.index_cert.sig.s.limbs[0] ^= 1; },
+       "index cert"},
+      {"index digest", [](svc::TipInfo& t) { t.index_digest[0] ^= 1; },
+       "index cert"},
+  };
+  const auto& chain = Chain();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    LiveFleet fleet(ShardMapConfig{});
+    ReplyTamper tamper;
+    FleetClient client(fleet.map, TamperingConnector(fleet, &tamper));
+    auto honest = client.Historical(chain.hot_account, 1, chain.tip_height);
+    ASSERT_TRUE(honest.ok()) << honest.message();
+    ASSERT_EQ(client.Stats().tip_validations, 1u);
+
+    tamper.tip = c.tamper;
+    for (std::uint64_t serve = 1; serve <= 2; ++serve) {
+      auto got = client.Historical(chain.hot_account, 1, chain.tip_height);
+      EXPECT_FALSE(got.ok());
+      EXPECT_EQ(client.Stats().verify_failures, serve);
+      EXPECT_EQ(client.Stats().tip_validations, 1u + serve);
+      EXPECT_TRUE(client.Health()->Quarantined(0));
+      const auto evidence = client.Health()->Evidence();
+      ASSERT_EQ(evidence.size(), serve);
+      EXPECT_NE(evidence.back().verdict.find(c.verdict), std::string::npos)
+          << evidence.back().verdict;
+      EXPECT_FALSE(evidence.back().offending_cert.empty());
+      client.Health()->Release(0);
+    }
+
+    // The honest tip is still remembered: no further validation.
+    tamper.tip = nullptr;
+    auto again = client.Historical(chain.hot_account, 1, chain.tip_height);
+    ASSERT_TRUE(again.ok()) << again.message();
+    EXPECT_EQ(again.value(), honest.value());
+    EXPECT_EQ(client.Stats().tip_validations, 3u);
+  }
+}
+
+TEST(FleetClientTest, ForgedProofRejectedAgainstRememberedTip) {
+  // The tip is remembered, so a later subquery skips certificate validation
+  // — but its proof is still verified against the certified digest.
+  LiveFleet fleet(TwoBandConfig(/*replicas=*/1));
+  const auto& chain = Chain();
+  ReplyTamper tamper;
+  FleetClient client(fleet.map, TamperingConnector(fleet, &tamper));
+  auto honest = client.Historical(chain.hot_account, 1, chain.tip_height);
+  ASSERT_TRUE(honest.ok()) << honest.message();
+  ASSERT_EQ(client.Stats().tip_validations, 2u);
+
+  tamper.proof = [](query::HistoricalQueryProof& p) { p.lower_root[0] ^= 1; };
+  auto got = client.Historical(chain.hot_account, 1, chain.tip_height);
+  EXPECT_FALSE(got.ok());
+  EXPECT_EQ(client.Stats().tip_validations, 2u);  // the memo answered
+  EXPECT_EQ(client.Stats().verify_failures, 1u);
+  EXPECT_TRUE(client.Health()->Quarantined(0));
+  const auto evidence = client.Health()->Evidence();
+  ASSERT_EQ(evidence.size(), 1u);
+  EXPECT_NE(evidence[0].verdict.find("query proof"), std::string::npos)
+      << evidence[0].verdict;
 }
 
 }  // namespace

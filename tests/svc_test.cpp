@@ -118,7 +118,8 @@ Hash256 TrustedDigest(SpClient& client) {
 }
 
 TEST(SvcResponseCacheTest, HitsMissesEvictionsInvalidations) {
-  ResponseCache cache(/*shards=*/2, /*capacity_per_shard=*/2);
+  // Two shards of two bytes each: room for two one-byte replies per shard.
+  ResponseCache cache(/*shards=*/2, /*capacity_bytes=*/4);
   const Hash256 k1 = ResponseCache::Key(Op::kHistorical, 1, 1, 10, 10);
   const Hash256 k2 = ResponseCache::Key(Op::kHistorical, 2, 1, 10, 10);
   EXPECT_NE(k1, k2);
@@ -142,6 +143,96 @@ TEST(SvcResponseCacheTest, HitsMissesEvictionsInvalidations) {
   cache.InvalidateAll();
   EXPECT_EQ(cache.Stats().invalidations, 1u);
   EXPECT_FALSE(cache.Lookup(k2).has_value());
+}
+
+TEST(SvcResponseCacheTest, EvictsLeastRecentlyUsedByBytes) {
+  // One shard with a 10-byte budget: entries are charged their reply size.
+  ResponseCache cache(/*shards=*/1, /*capacity_bytes=*/10);
+  const auto key = [](std::uint64_t a) {
+    return ResponseCache::Key(Op::kHistorical, a, 1, 10, 10);
+  };
+  cache.Insert(key(1), Bytes(4, 0x01));
+  cache.Insert(key(2), Bytes(4, 0x02));
+  EXPECT_EQ(cache.Stats().bytes, 8u);
+  EXPECT_EQ(cache.Stats().evictions, 0u);
+  ASSERT_TRUE(cache.Lookup(key(1)).has_value());  // key 2 is now the LRU
+
+  // 8 + 4 > 10: key 2 goes, key 1 (recently used) and key 3 stay.
+  cache.Insert(key(3), Bytes(4, 0x03));
+  EXPECT_EQ(cache.Stats().bytes, 8u);
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+  EXPECT_FALSE(cache.Lookup(key(2)).has_value());
+  EXPECT_TRUE(cache.Lookup(key(1)).has_value());
+  EXPECT_TRUE(cache.Lookup(key(3)).has_value());
+
+  // A reply as large as the whole share evicts everything else.
+  cache.Insert(key(4), Bytes(10, 0x04));
+  EXPECT_EQ(cache.Stats().bytes, 10u);
+  EXPECT_EQ(cache.Stats().evictions, 3u);
+  EXPECT_TRUE(cache.Lookup(key(4)).has_value());
+}
+
+TEST(SvcResponseCacheTest, OversizeReplyIsNotCached) {
+  // Two shards of 8 bytes: a 9-byte reply exceeds a shard's share.
+  ResponseCache cache(/*shards=*/2, /*capacity_bytes=*/16);
+  const Hash256 small = ResponseCache::Key(Op::kHistorical, 1, 1, 10, 10);
+  const Hash256 big = ResponseCache::Key(Op::kHistorical, 2, 1, 10, 10);
+  cache.Insert(small, Bytes(8, 0x01));
+  cache.Insert(big, Bytes(9, 0x02));
+  EXPECT_FALSE(cache.Lookup(big).has_value());
+  EXPECT_TRUE(cache.Lookup(small).has_value());  // nothing was evicted for it
+  EXPECT_EQ(cache.Stats().bytes, 8u);
+  EXPECT_EQ(cache.Stats().evictions, 0u);
+}
+
+TEST(SvcResponseCacheTest, InvalidateAllResetsBytes) {
+  ResponseCache cache(/*shards=*/4, /*capacity_bytes=*/4096);
+  for (std::uint64_t a = 0; a < 32; ++a) {
+    cache.Insert(ResponseCache::Key(Op::kAggregate, a, 1, 10, 10),
+                 Bytes(16, 0xab));
+  }
+  EXPECT_EQ(cache.Stats().bytes, 32u * 16u);
+  cache.InvalidateAll();
+  EXPECT_EQ(cache.Stats().bytes, 0u);
+  // The registered gauge follows the same accounting.
+  const auto snap = obs::MetricsRegistry::Global().Snapshot();
+  ASSERT_TRUE(snap.gauges.count("svc.cache.bytes"));
+  EXPECT_EQ(snap.gauges.at("svc.cache.bytes"), 0);
+  cache.Insert(ResponseCache::Key(Op::kAggregate, 99, 1, 10, 10),
+               Bytes(5, 0xcd));
+  EXPECT_EQ(cache.Stats().bytes, 5u);
+  EXPECT_EQ(obs::MetricsRegistry::Global().Snapshot().gauges.at(
+                "svc.cache.bytes"),
+            5);
+}
+
+TEST(SvcResponseCacheTest, RacingReinsertKeepsByteAccountingExact) {
+  // Many threads miss on the same few keys and insert replies of differing
+  // sizes (a re-insert of a cached key keeps the cached reply); afterwards
+  // the byte count must equal the sum of what is actually cached.
+  constexpr std::uint64_t kKeys = 6;
+  ResponseCache cache(/*shards=*/2, /*capacity_bytes=*/64);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&cache, t] {
+      for (int i = 0; i < 500; ++i) {
+        const std::uint64_t a = static_cast<std::uint64_t>(i + t) % kKeys;
+        cache.Insert(ResponseCache::Key(Op::kHistorical, a, 1, 10, 10),
+                     Bytes(1 + static_cast<std::size_t>((i * 7 + t) % 12),
+                           0x5a));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::uint64_t cached = 0;
+  for (std::uint64_t a = 0; a < kKeys; ++a) {
+    auto hit = cache.Lookup(ResponseCache::Key(Op::kHistorical, a, 1, 10, 10));
+    if (hit) cached += hit->size();
+  }
+  EXPECT_EQ(cache.Stats().bytes, cached);
+  EXPECT_LE(cache.Stats().bytes, 64u);
+  cache.InvalidateAll();
+  EXPECT_EQ(cache.Stats().bytes, 0u);
 }
 
 TEST(SvcLoopbackTest, ConcurrentClientsGetVerifiableProofs) {
@@ -741,6 +832,9 @@ void ExerciseAndCheckStats(SpClient& client, const CertifiedChain& chain) {
   ASSERT_TRUE(got.counters.count("svc.cache.misses"));
   EXPECT_GE(got.counters.at("svc.cache.hits") + got.counters.at("svc.cache.misses"),
             2u);
+  // Cache memory is a gauge: the cached historical and aggregate replies.
+  ASSERT_TRUE(snap.value().gauges.count("svc.cache.bytes"));
+  EXPECT_GT(snap.value().gauges.at("svc.cache.bytes"), 0);
   // Certification ran when the fixture chain was built, so the process-wide
   // sgx/pool families exist in the full snapshot (not necessarily the delta).
   EXPECT_TRUE(snap.value().counters.count("sgx.ecalls"));
