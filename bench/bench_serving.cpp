@@ -367,8 +367,8 @@ RunResult RunLoad(const Options& opt, const ServingFixture& fixture,
   return r;
 }
 
-/// End-to-end integrity spot check: fetch the tip over the wire, validate it
-/// like a superlight client, and verify one served proof against the
+/// End-to-end integrity spot check: one served reply, its carried tip
+/// validated like a superlight client, its proof verified against that tip's
 /// certified digest.
 void VerifyServedReplies(const Options& opt, const ServingFixture& fixture) {
   svc::SpServerConfig config;
@@ -383,23 +383,19 @@ void VerifyServedReplies(const Options& opt, const ServingFixture& fixture) {
     }
   }
   svc::SpClient client(loopback.Connect());
-  auto tip = client.FetchTip();
-  if (!tip.ok()) throw std::runtime_error(tip.message());
-  core::SuperlightClient light(core::ExpectedEnclaveMeasurement());
-  if (Status st = light.ValidateAndAccept(tip.value().header,
-                                          tip.value().block_cert);
-      !st) {
-    throw std::runtime_error("tip rejected: " + st.message());
-  }
-  if (Status st =
-          light.AcceptIndexCert(tip.value().header, tip.value().index_cert,
-                                tip.value().index_digest, "historical");
-      !st) {
-    throw std::runtime_error("index cert rejected: " + st.message());
-  }
   const svc::QueryRequest& q = fixture.query_pool.front();
   auto reply = client.Historical(q.account, q.from_height, q.to_height);
   if (!reply.ok()) throw std::runtime_error(reply.message());
+  const svc::TipInfo& tip = reply.value().tip;
+  core::SuperlightClient light(core::ExpectedEnclaveMeasurement());
+  if (Status st = light.ValidateAndAccept(tip.header, tip.block_cert); !st) {
+    throw std::runtime_error("tip rejected: " + st.message());
+  }
+  if (Status st = light.AcceptIndexCert(tip.header, tip.index_cert,
+                                        tip.index_digest, "historical");
+      !st) {
+    throw std::runtime_error("index cert rejected: " + st.message());
+  }
   auto verified = query::HistoricalIndex::VerifyQuery(
       *light.CertifiedIndexDigest("historical"), q.account, q.from_height,
       q.to_height, reply.value().proof);

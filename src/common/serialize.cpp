@@ -35,6 +35,12 @@ std::uint8_t Decoder::U8() {
   return data_[pos_++];
 }
 
+bool Decoder::Bool() {
+  const std::uint8_t b = U8();
+  if (b > 1) throw DecodeError("Decoder: bool byte is neither 0 nor 1");
+  return b == 1;
+}
+
 std::uint16_t Decoder::U16() {
   Need(2);
   std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |

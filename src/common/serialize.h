@@ -56,7 +56,8 @@ class Decoder {
   Hash256 HashField();
   Bytes Blob();
   std::string Str();
-  bool Bool() { return U8() != 0; }
+  /// Strict: only 0 and 1 decode, so every encoded bool has one byte form.
+  bool Bool();
 
   bool AtEnd() const { return pos_ == data_.size(); }
   std::size_t Remaining() const { return data_.size() - pos_; }

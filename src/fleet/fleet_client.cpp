@@ -230,68 +230,52 @@ Result<FleetClient::Slice> FleetClient::QueryReplica(
     return R(st);
   };
 
-  const int races = std::max(1, config_.max_tip_races);
-  for (int attempt = 0; attempt < races; ++attempt) {
-    auto reply = op == svc::Op::kHistorical
-                     ? client->HistoricalSharded(map.Version(), sub.shard_id,
-                                                 account, sub.from_height,
-                                                 sub.to_height)
-                     : client->AggregateSharded(map.Version(), sub.shard_id,
-                                                account, sub.from_height,
-                                                sub.to_height);
-    if (!reply.ok()) return benign(reply.status());
-    const query::HistoricalQueryProof& proof = reply.value().proof;
-    auto tip = client->FetchTipSharded(map.Version(), sub.shard_id);
-    if (!tip.ok()) return benign(tip.status());
-    if (tip.value().header.height != reply.value().tip_height) {
-      if (tip.value().header.height < reply.value().tip_height) {
-        // A tip can only advance; going backwards between two calls on the
-        // same connection means the replica is lying or broken.
-        return misbehave(Status::Error("fleet: replica tip went backwards"),
-                         proof, &tip.value().block_cert);
-      }
-      continue;  // a block landed between query and tip fetch; retry at it
-    }
+  auto reply = op == svc::Op::kHistorical
+                   ? client->HistoricalSharded(map.Version(), sub.shard_id,
+                                               account, sub.from_height,
+                                               sub.to_height)
+                   : client->AggregateSharded(map.Version(), sub.shard_id,
+                                              account, sub.from_height,
+                                              sub.to_height);
+  if (!reply.ok()) return benign(reply.status());
+  const svc::TipInfo& tip = reply.value().tip;
+  const query::HistoricalQueryProof& proof = reply.value().proof;
 
-    // Certificates first (once per distinct tip), then the proof against
-    // the certified digest on every subquery.
-    const core::BlockCertificate* offending = nullptr;
-    if (Status st = ValidateTip(sub.shard_id, tip.value(), &offending); !st) {
-      return misbehave(st, proof, offending);
-    }
-    Slice out;
-    out.tip_height = tip.value().header.height;
-    if (op == svc::Op::kHistorical) {
-      auto versions = query::HistoricalIndex::VerifyQuery(
-          tip.value().index_digest, account, sub.from_height, sub.to_height,
-          proof);
-      if (!versions.ok()) {
-        return misbehave(versions.status().WithContext("fleet: query proof"),
-                         proof, &tip.value().block_cert);
-      }
-      out.versions = std::move(versions.value());
-    } else {
-      auto agg = query::HistoricalIndex::VerifyAggregateQuery(
-          tip.value().index_digest, account, sub.from_height, sub.to_height,
-          proof);
-      if (!agg.ok()) {
-        return misbehave(agg.status().WithContext("fleet: aggregate proof"),
-                         proof, &tip.value().block_cert);
-      }
-      out.aggregate = agg.value();
-    }
-    verified_->Add(1);
-    health_->ReportSuccess(
-        sub.shard_id, replica,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - started)
-                .count()));
-    return out;
+  // The reply carries the tip its proof was built at: certificates first
+  // (once per distinct tip), then the proof against that tip's certified
+  // digest on every subquery. A certified tip older than one seen before is
+  // a replica behind on announcements — stale, not evidence.
+  const core::BlockCertificate* offending = nullptr;
+  if (Status st = ValidateTip(sub.shard_id, tip, &offending); !st) {
+    return misbehave(st, proof, offending);
   }
-  // The tip kept advancing — contention, not a fault of this replica; leave
-  // its breaker untouched and let the caller fail over.
-  return R::Error("fleet: tip kept advancing during query");
+  Slice out;
+  out.tip_height = tip.header.height;
+  if (op == svc::Op::kHistorical) {
+    auto versions = query::HistoricalIndex::VerifyQuery(
+        tip.index_digest, account, sub.from_height, sub.to_height, proof);
+    if (!versions.ok()) {
+      return misbehave(versions.status().WithContext("fleet: query proof"),
+                       proof, &tip.block_cert);
+    }
+    out.versions = std::move(versions.value());
+  } else {
+    auto agg = query::HistoricalIndex::VerifyAggregateQuery(
+        tip.index_digest, account, sub.from_height, sub.to_height, proof);
+    if (!agg.ok()) {
+      return misbehave(agg.status().WithContext("fleet: aggregate proof"),
+                       proof, &tip.block_cert);
+    }
+    out.aggregate = agg.value();
+  }
+  verified_->Add(1);
+  health_->ReportSuccess(
+      sub.shard_id, replica,
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - started)
+              .count()));
+  return out;
 }
 
 Result<FleetClient::Slice> FleetClient::QueryReplicaHedged(

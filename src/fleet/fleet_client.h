@@ -1,11 +1,13 @@
 // Client-side verified scatter-gather over a shard fleet. A query window is
 // Split() at band boundaries; each subquery is answered by one shard and
-// verified INDEPENDENTLY before merging — per subquery the client fetches
-// the shard's certified tip, checks that the reply was built against it, and
-// checks the query proof against the tip's certified index digest. Nothing
-// on the path — router, shard, network — is trusted; a corrupt or fabricated
-// reply fails verification and the client fails over to another replica
-// instead of accepting it.
+// verified INDEPENDENTLY before merging. One call per attempt: the shard's
+// reply carries the certified tip it answered at (read under the same lock
+// as the proof build), and the client checks the proof against that tip's
+// certified index digest. Nothing on the path — router, shard, network — is
+// trusted; a corrupt or fabricated reply fails verification and the client
+// fails over to another replica instead of accepting it. A reply at an older
+// certified tip (a replica one announcement behind, or a router that picked
+// a different replica) verifies against its own tip and is accepted.
 //
 // The tip's certificates (block cert over the header, index cert binding the
 // digest, both from the pinned enclave measurement) are validated once per
@@ -63,8 +65,6 @@ struct FleetClientConfig {
   svc::RetryPolicy retry;
   /// kStaleShard-triggered map refreshes allowed per logical query.
   int max_map_refreshes = 2;
-  /// Tip-advanced races (proof tip != fetched tip) retried per replica.
-  int max_tip_races = 3;
   /// Paranoid cross-replica cross-check (see header comment).
   bool cross_check = false;
   /// Worker threads for HistoricalMany fan-out.
@@ -163,7 +163,8 @@ class FleetClient {
   Result<Slice> QueryShard(const ShardMap& map, svc::Op op,
                            const ShardMap::SubQuery& sub,
                            std::uint64_t account, bool* stale);
-  /// One fully verified attempt against one replica. Reports the outcome
+  /// One fully verified attempt against one replica: one call, its tip
+  /// validated, its proof verified against that tip. Reports the outcome
   /// (success latency / benign failure / misbehavior evidence) to health_.
   Result<Slice> QueryReplica(const ShardMap& map, svc::Op op,
                              const ShardMap::SubQuery& sub,
@@ -182,7 +183,7 @@ class FleetClient {
                                    std::uint32_t secondary, bool* stale,
                                    bool* used_secondary);
 
-  /// Validates a fetched tip's block and index certificates against the
+  /// Validates a reply's tip: block and index certificates against the
   /// pinned measurement, unless this exact tip already passed (see the
   /// header comment). On failure returns the verdict and points *offending
   /// at the certificate that failed; a failed tip is not remembered.

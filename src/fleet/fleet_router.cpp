@@ -32,6 +32,7 @@ FleetRouter::FleetRouter(ShardMap map, BackendConnector backends,
       shard_map_serves_(std::make_shared<obs::Counter>()),
       stale_rejects_(std::make_shared<obs::Counter>()),
       errors_(std::make_shared<obs::Counter>()) {
+  replica_rr_.resize(map_.TotalShards());
   auto& reg = obs::MetricsRegistry::Global();
   reg.Register("fleet.router.forwarded", forwarded_);
   reg.Register("fleet.router.fanouts", fanouts_);
@@ -118,7 +119,7 @@ Result<Bytes> FleetRouter::CallBackend(std::uint32_t shard,
   std::uint32_t start;
   {
     std::lock_guard<std::mutex> lk(pool_mu_);
-    start = static_cast<std::uint32_t>(round_robin_++ % replicas);
+    start = static_cast<std::uint32_t>(replica_rr_[shard]++ % replicas);
   }
   // Breaker-routable replicas first (the non-mutating check: the actual
   // probe-consuming AllowRequest happens right before each attempt, so a

@@ -8,8 +8,8 @@
 // Per-op behavior:
 //  * kShardMap        — answered locally from the router's own map.
 //  * kShardScoped     — version-checked, then forwarded verbatim to a replica
-//                       of the addressed shard (round-robin start, sequential
-//                       failover on transient faults). The shard re-checks
+//                       of the addressed shard (per-shard round-robin start,
+//                       sequential failover on transient faults). The shard re-checks
 //                       (version, shard_id) itself; the router check only
 //                       exists to fail stale clients fast.
 //  * kAnnounce        — fanned out to every replica of every shard; "stale
@@ -108,6 +108,10 @@ class FleetRouter {
            std::vector<std::unique_ptr<svc::ClientTransport>>>
       pool_;
   std::uint64_t round_robin_ = 0;  // guarded by pool_mu_
+  /// Per-shard replica rotation (guarded by pool_mu_). One fleet-wide
+  /// counter would lock a client that alternates shards onto one replica
+  /// of each.
+  std::vector<std::uint64_t> replica_rr_;
 
   std::shared_ptr<obs::Counter> forwarded_;
   std::shared_ptr<obs::Counter> fanouts_;

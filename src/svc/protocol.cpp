@@ -16,6 +16,36 @@ bool ValidOp(std::uint8_t op) {
 constexpr std::size_t kMaxStatsMetrics = 4096;
 constexpr std::size_t kMaxStatsBuckets = 8192;
 
+/// The TipInfo fields, shared by tip and query replies.
+void EncodeTipFields(Encoder& enc, const TipInfo& tip) {
+  enc.Blob(tip.header.Serialize());
+  enc.Blob(tip.block_cert.Serialize());
+  enc.HashField(tip.index_digest);
+  enc.Blob(tip.index_cert.Serialize());
+}
+
+/// Reads what EncodeTipFields wrote. Truncation throws DecodeError; a field
+/// that does not deserialize comes back as an error.
+Result<TipInfo> DecodeTipFields(Decoder& dec) {
+  using R = Result<TipInfo>;
+  Bytes hdr_bytes = dec.Blob();
+  Bytes bcert_bytes = dec.Blob();
+  Hash256 digest = dec.HashField();
+  Bytes icert_bytes = dec.Blob();
+  auto hdr = chain::BlockHeader::Deserialize(hdr_bytes);
+  if (!hdr) return R(hdr.status());
+  auto bcert = core::BlockCertificate::Deserialize(bcert_bytes);
+  if (!bcert) return R(bcert.status());
+  auto icert = core::IndexCertificate::Deserialize(icert_bytes);
+  if (!icert) return R(icert.status());
+  TipInfo tip;
+  tip.header = hdr.value();
+  tip.block_cert = std::move(bcert.value());
+  tip.index_digest = digest;
+  tip.index_cert = std::move(icert.value());
+  return tip;
+}
+
 }  // namespace
 
 Bytes EncodeTipFetchRequest() {
@@ -153,18 +183,15 @@ Bytes EncodeStatusReply(Code code, const std::string& message) {
 Bytes EncodeTipReply(const TipInfo& tip) {
   Encoder enc;
   enc.U8(static_cast<std::uint8_t>(Code::kOk));
-  enc.Blob(tip.header.Serialize());
-  enc.Blob(tip.block_cert.Serialize());
-  enc.HashField(tip.index_digest);
-  enc.Blob(tip.index_cert.Serialize());
+  EncodeTipFields(enc, tip);
   return enc.Take();
 }
 
-Bytes EncodeQueryReply(std::uint64_t tip_height,
+Bytes EncodeQueryReply(const TipInfo& tip,
                        const query::HistoricalQueryProof& proof) {
   Encoder enc;
   enc.U8(static_cast<std::uint8_t>(Code::kOk));
-  enc.U64(tip_height);
+  EncodeTipFields(enc, tip);
   enc.Blob(proof.Serialize());
   return enc.Take();
 }
@@ -219,42 +246,27 @@ Result<ReplyEnvelope> DecodeReplyEnvelope(ByteView frame) {
 }
 
 Result<TipInfo> DecodeTipBody(ByteView body) {
-  using R = Result<TipInfo>;
   try {
     Decoder dec(body);
-    Bytes hdr_bytes = dec.Blob();
-    Bytes bcert_bytes = dec.Blob();
-    Hash256 digest = dec.HashField();
-    Bytes icert_bytes = dec.Blob();
+    auto tip = DecodeTipFields(dec);
     dec.ExpectEnd();
-    auto hdr = chain::BlockHeader::Deserialize(hdr_bytes);
-    if (!hdr) return R(hdr.status());
-    auto bcert = core::BlockCertificate::Deserialize(bcert_bytes);
-    if (!bcert) return R(bcert.status());
-    auto icert = core::IndexCertificate::Deserialize(icert_bytes);
-    if (!icert) return R(icert.status());
-    TipInfo tip;
-    tip.header = hdr.value();
-    tip.block_cert = std::move(bcert.value());
-    tip.index_digest = digest;
-    tip.index_cert = std::move(icert.value());
     return tip;
   } catch (const DecodeError& e) {
-    return R::Error(std::string("tip reply: ") + e.what());
+    return Result<TipInfo>::Error(std::string("tip reply: ") + e.what());
   }
 }
 
-Result<std::pair<std::uint64_t, query::HistoricalQueryProof>> DecodeQueryBody(
-    ByteView body) {
-  using R = Result<std::pair<std::uint64_t, query::HistoricalQueryProof>>;
+Result<QueryReply> DecodeQueryBody(ByteView body) {
+  using R = Result<QueryReply>;
   try {
     Decoder dec(body);
-    std::uint64_t tip_height = dec.U64();
+    auto tip = DecodeTipFields(dec);
     Bytes proof_bytes = dec.Blob();
     dec.ExpectEnd();
+    if (!tip) return R(tip.status());
     auto proof = query::HistoricalQueryProof::Deserialize(proof_bytes);
     if (!proof) return R(proof.status());
-    return std::make_pair(tip_height, std::move(proof.value()));
+    return QueryReply{std::move(tip.value()), std::move(proof.value())};
   } catch (const DecodeError& e) {
     return R::Error(std::string("query reply: ") + e.what());
   }

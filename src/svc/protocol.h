@@ -1,9 +1,11 @@
 // Request/reply envelope for the SP serving protocol. A request frame is
 // `u8 op || body`; a reply frame is `u8 code || body` where an OK body is
-// op-specific and a busy/error body is a human-readable message. The query
-// bodies reuse the net/actors.h wire shapes where they exist; announcements
-// carry the full block plus the CI's block and index certificates so the
-// server can validate them exactly as a client would before serving them.
+// op-specific and a busy/error body is a human-readable message. A query
+// reply is self-contained: it carries the certified tip the proof was built
+// at, so a client verifies one reply without a second round trip.
+// Announcements carry the full block plus the CI's block and index
+// certificates so the server can validate them exactly as a client would
+// before serving them.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +22,12 @@ namespace dcert::svc {
 
 enum class Op : std::uint8_t {
   kTipFetch = 1,    // -> TipReply
-  kHistorical = 2,  // window query -> QueryReply
-  kAggregate = 3,   // count/sum query -> QueryReply
+  kHistorical = 2,  // window query -> QueryReply (tip + proof)
+  kAggregate = 3,   // count/sum query -> QueryReply (tip + proof)
   kAnnounce = 4,    // certified block announcement -> AckReply
   kStats = 5,       // live metrics snapshot -> StatsReply
   kShardMap = 6,    // fetch the fleet shard map -> opaque map bytes
-  kShardScoped = 7,  // shard-addressed envelope around tip/query requests
+  kShardScoped = 7,  // shard-addressed envelope around a query request
   kHealth = 8,       // lightweight liveness/health probe -> HealthReply
 };
 
@@ -83,8 +85,8 @@ struct ShardAssignment {
   }
 };
 
-/// Decoded kShardScoped envelope: the addressed shard plus the inner request
-/// frame (tip fetch or query) the shard should process after ownership checks.
+/// Decoded kShardScoped envelope: the addressed shard plus the inner query
+/// frame the shard should process after ownership checks.
 struct ShardScopedRequest {
   std::uint64_t map_version = 0;
   std::uint32_t shard_id = 0;
@@ -96,6 +98,15 @@ struct AnnounceRequest {
   core::BlockCertificate block_cert;
   Hash256 index_digest;
   core::IndexCertificate index_cert;
+};
+
+/// A decoded OK query reply: the certified tip the server answered at and the
+/// proof it built against that tip's index digest, read under one lock. A
+/// verifier validates `tip`'s certificates, then checks `proof` against
+/// `tip.index_digest`.
+struct QueryReply {
+  TipInfo tip;
+  query::HistoricalQueryProof proof;
 };
 
 /// A decoded reply envelope; `body` is the op-specific OK payload.
@@ -124,9 +135,11 @@ Result<ShardScopedRequest> DecodeShardScopedRequest(ByteView frame);
 
 // Replies.
 Bytes EncodeStatusReply(Code code, const std::string& message);
+/// OK body: header, block cert, index digest, index cert.
 Bytes EncodeTipReply(const TipInfo& tip);
-/// `tip_height` tells the client which tip the proof was generated against.
-Bytes EncodeQueryReply(std::uint64_t tip_height,
+/// OK body: the tip reply's fields for the tip the proof was built at,
+/// followed by the proof.
+Bytes EncodeQueryReply(const TipInfo& tip,
                        const query::HistoricalQueryProof& proof);
 Bytes EncodeAckReply(std::uint64_t tip_height);
 /// OK body is the opaque serialized fleet shard map (fleet::ShardMap bytes);
@@ -135,8 +148,7 @@ Bytes EncodeShardMapReply(ByteView map_bytes);
 Result<ReplyEnvelope> DecodeReplyEnvelope(ByteView frame);
 Result<Bytes> DecodeShardMapBody(ByteView body);
 Result<TipInfo> DecodeTipBody(ByteView body);
-Result<std::pair<std::uint64_t, query::HistoricalQueryProof>> DecodeQueryBody(
-    ByteView body);
+Result<QueryReply> DecodeQueryBody(ByteView body);
 Result<std::uint64_t> DecodeAckBody(ByteView body);
 
 /// A lightweight health probe reply: enough for a router or operator to

@@ -213,80 +213,46 @@ Result<Bytes> SpClient::FetchShardMap() {
   return std::move(*map);
 }
 
-Result<SpClient::QueryResult> SpClient::Query(Op op, std::uint64_t account,
-                                              std::uint64_t from_height,
-                                              std::uint64_t to_height) {
-  using R = Result<QueryResult>;
-  QueryRequest req{op, account, from_height, to_height};
+Result<SpClient::QueryResult> SpClient::Query(const Bytes& request) {
   std::optional<QueryResult> out;
-  auto body = Roundtrip(EncodeQueryRequest(req), [&out](const Bytes& b) {
+  auto body = Roundtrip(request, [&out](const Bytes& b) {
     auto decoded = DecodeQueryBody(b);
     if (!decoded.ok()) return decoded.status();
-    out = QueryResult{decoded.value().first, std::move(decoded.value().second)};
+    out = std::move(decoded.value());
     return Status::Ok();
   });
-  if (!body.ok()) return R(body.status());
+  if (!body.ok()) return Result<QueryResult>(body.status());
   return std::move(*out);
 }
 
 Result<SpClient::QueryResult> SpClient::Historical(std::uint64_t account,
                                                    std::uint64_t from_height,
                                                    std::uint64_t to_height) {
-  return Query(Op::kHistorical, account, from_height, to_height);
+  return Query(EncodeQueryRequest(
+      {Op::kHistorical, account, from_height, to_height}));
 }
 
 Result<SpClient::QueryResult> SpClient::Aggregate(std::uint64_t account,
                                                   std::uint64_t from_height,
                                                   std::uint64_t to_height) {
-  return Query(Op::kAggregate, account, from_height, to_height);
-}
-
-Result<TipInfo> SpClient::FetchTipSharded(std::uint64_t map_version,
-                                          std::uint32_t shard_id) {
-  std::optional<TipInfo> tip;
-  auto body = Roundtrip(
-      EncodeShardScopedRequest(map_version, shard_id, EncodeTipFetchRequest()),
-      [&tip](const Bytes& b) {
-        auto decoded = DecodeTipBody(b);
-        if (!decoded.ok()) return decoded.status();
-        tip = std::move(decoded.value());
-        return Status::Ok();
-      });
-  if (!body.ok()) return Result<TipInfo>(body.status());
-  return std::move(*tip);
-}
-
-Result<SpClient::QueryResult> SpClient::QuerySharded(
-    Op op, std::uint64_t map_version, std::uint32_t shard_id,
-    std::uint64_t account, std::uint64_t from_height, std::uint64_t to_height) {
-  using R = Result<QueryResult>;
-  QueryRequest req{op, account, from_height, to_height};
-  std::optional<QueryResult> out;
-  auto body = Roundtrip(
-      EncodeShardScopedRequest(map_version, shard_id, EncodeQueryRequest(req)),
-      [&out](const Bytes& b) {
-        auto decoded = DecodeQueryBody(b);
-        if (!decoded.ok()) return decoded.status();
-        out = QueryResult{decoded.value().first,
-                          std::move(decoded.value().second)};
-        return Status::Ok();
-      });
-  if (!body.ok()) return R(body.status());
-  return std::move(*out);
+  return Query(EncodeQueryRequest(
+      {Op::kAggregate, account, from_height, to_height}));
 }
 
 Result<SpClient::QueryResult> SpClient::HistoricalSharded(
     std::uint64_t map_version, std::uint32_t shard_id, std::uint64_t account,
     std::uint64_t from_height, std::uint64_t to_height) {
-  return QuerySharded(Op::kHistorical, map_version, shard_id, account,
-                      from_height, to_height);
+  return Query(EncodeShardScopedRequest(
+      map_version, shard_id,
+      EncodeQueryRequest({Op::kHistorical, account, from_height, to_height})));
 }
 
 Result<SpClient::QueryResult> SpClient::AggregateSharded(
     std::uint64_t map_version, std::uint32_t shard_id, std::uint64_t account,
     std::uint64_t from_height, std::uint64_t to_height) {
-  return QuerySharded(Op::kAggregate, map_version, shard_id, account,
-                      from_height, to_height);
+  return Query(EncodeShardScopedRequest(
+      map_version, shard_id,
+      EncodeQueryRequest({Op::kAggregate, account, from_height, to_height})));
 }
 
 Result<std::uint64_t> SpClient::Announce(const AnnounceRequest& req) {

@@ -72,10 +72,9 @@ class SpClient {
         policy_(policy),
         jitter_rng_(policy.jitter_seed) {}
 
-  struct QueryResult {
-    std::uint64_t tip_height = 0;
-    query::HistoricalQueryProof proof;
-  };
+  /// The certified tip the server answered at, and the proof built against
+  /// its index digest; the caller validates the tip, then the proof.
+  using QueryResult = QueryReply;
 
   Result<TipInfo> FetchTip();
   /// Live metrics snapshot from the server's registry (Op::kStats).
@@ -98,8 +97,6 @@ class SpClient {
   // A kStaleShard reply fails the call without retrying (blind retries
   // cannot help — the *map* is wrong); LastReplyStaleShard() tells callers
   // to refresh their shard map and re-route.
-  Result<TipInfo> FetchTipSharded(std::uint64_t map_version,
-                                  std::uint32_t shard_id);
   Result<QueryResult> HistoricalSharded(std::uint64_t map_version,
                                         std::uint32_t shard_id,
                                         std::uint64_t account,
@@ -124,13 +121,8 @@ class SpClient {
   /// marks the reply garbled, which is a retryable transport-level fault.
   using BodyDecoder = std::function<Status(const Bytes& body)>;
 
-  Result<QueryResult> Query(Op op, std::uint64_t account,
-                            std::uint64_t from_height, std::uint64_t to_height);
-  Result<QueryResult> QuerySharded(Op op, std::uint64_t map_version,
-                                   std::uint32_t shard_id,
-                                   std::uint64_t account,
-                                   std::uint64_t from_height,
-                                   std::uint64_t to_height);
+  /// One query call; `request` is a plain or shard-scoped query frame.
+  Result<QueryResult> Query(const Bytes& request);
   /// One logical call: attempt/backoff/reconnect loop around the transport.
   Result<Bytes> Roundtrip(const Bytes& request, const BodyDecoder& decode_body);
   /// Ensures conn_ is live, dialing through connector_ if present.

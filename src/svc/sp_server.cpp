@@ -130,32 +130,8 @@ Bytes SpServer::Process(const Bytes& request) {
       return ProcessTipFetch();
     }
     case Op::kHistorical:
-    case Op::kAggregate: {
-      auto req = DecodeQueryRequest(request);
-      if (!req.ok()) {
-        errors_->Add(1);
-        return EncodeStatusReply(Code::kError, req.message());
-      }
-      // A sharded server serves only what it owns, even for plain (router-
-      // forwarded) queries; the rejection is retryable because the client's
-      // routing data, not the query, is what's wrong.
-      if (config_.shard.Sharded()) {
-        if (!config_.shard.OwnsKey(req.value().account)) {
-          return RejectShard("query key " + std::to_string(req.value().account) +
-                             " not owned by shard " +
-                             std::to_string(config_.shard.shard_id));
-        }
-        if (!config_.shard.OwnsWindow(req.value().from_height,
-                                      req.value().to_height)) {
-          return RejectShard("query window outside shard height band");
-        }
-      }
-      obs::TraceSpan span(
-          req.value().op == Op::kHistorical ? "svc.historical" : "svc.aggregate",
-          req.value().op == Op::kHistorical ? lat_historical_ns_
-                                            : lat_aggregate_ns_);
-      return ProcessQuery(req.value());
-    }
+    case Op::kAggregate:
+      return ProcessQuery(request);
     case Op::kAnnounce: {
       auto req = DecodeAnnounceRequest(request);
       if (!req.ok()) {
@@ -223,49 +199,10 @@ Bytes SpServer::ProcessShardScoped(const ShardScopedRequest& req) {
                        std::to_string(req.shard_id) + ", this is shard " +
                        std::to_string(config_.shard.shard_id));
   }
-  auto inner_op = PeekOp(req.inner);
-  if (!inner_op.ok()) {
-    errors_->Add(1);
-    return EncodeStatusReply(Code::kError, "shard-scoped: " + inner_op.message());
-  }
-  switch (inner_op.value()) {
-    case Op::kTipFetch: {
-      obs::TraceSpan span("svc.tip_fetch", lat_tip_ns_);
-      return ProcessTipFetch();
-    }
-    case Op::kHistorical:
-    case Op::kAggregate: {
-      auto inner = DecodeQueryRequest(req.inner);
-      if (!inner.ok()) {
-        errors_->Add(1);
-        return EncodeStatusReply(Code::kError, inner.message());
-      }
-      if (!config_.shard.OwnsKey(inner.value().account)) {
-        return RejectShard("query key " +
-                           std::to_string(inner.value().account) +
-                           " not owned by shard " +
-                           std::to_string(config_.shard.shard_id));
-      }
-      if (!config_.shard.OwnsWindow(inner.value().from_height,
-                                    inner.value().to_height)) {
-        return RejectShard("query window outside shard height band");
-      }
-      obs::TraceSpan span(inner.value().op == Op::kHistorical
-                              ? "svc.historical"
-                              : "svc.aggregate",
-                          inner.value().op == Op::kHistorical
-                              ? lat_historical_ns_
-                              : lat_aggregate_ns_);
-      return ProcessQuery(inner.value());
-    }
-    default: {
-      // Announce/stats/map fetches are process-global concerns; scoping them
-      // to a shard would only mask routing bugs.
-      errors_->Add(1);
-      return EncodeStatusReply(Code::kError,
-                               "shard-scoped: inner op not shardable");
-    }
-  }
+  // Only queries are shard-scoped: tip fetches, announcements, stats and map
+  // fetches are process-global, and scoping them would only mask routing
+  // bugs. ProcessQuery's decode rejects any other inner op.
+  return ProcessQuery(req.inner);
 }
 
 Bytes SpServer::ProcessHealth() {
@@ -296,29 +233,50 @@ Bytes SpServer::ProcessTipFetch() {
   return EncodeTipReply(*tip_);
 }
 
-Bytes SpServer::ProcessQuery(const QueryRequest& req) {
-  // Shared lock spans the tip read and the proof generation so the proof is
-  // always consistent with the tip height stamped into the reply.
+Bytes SpServer::ProcessQuery(const Bytes& frame) {
+  auto decoded = DecodeQueryRequest(frame);
+  if (!decoded.ok()) {
+    errors_->Add(1);
+    return EncodeStatusReply(Code::kError, decoded.message());
+  }
+  const QueryRequest& req = decoded.value();
+  // A sharded server serves only what it owns, plain (router-forwarded) or
+  // shard-scoped; the rejection is retryable because the client's routing
+  // data, not the query, is what's wrong.
+  if (config_.shard.Sharded()) {
+    if (!config_.shard.OwnsKey(req.account)) {
+      return RejectShard("query key " + std::to_string(req.account) +
+                         " not owned by shard " +
+                         std::to_string(config_.shard.shard_id));
+    }
+    if (!config_.shard.OwnsWindow(req.from_height, req.to_height)) {
+      return RejectShard("query window outside shard height band");
+    }
+  }
+  const bool historical = req.op == Op::kHistorical;
+  obs::TraceSpan span(historical ? "svc.historical" : "svc.aggregate",
+                      historical ? lat_historical_ns_ : lat_aggregate_ns_);
+  // Shared lock spans the tip read and the proof build, so the tip carried
+  // in the reply is always the one the proof was built against.
   std::shared_lock<std::shared_mutex> lk(state_mu_);
   if (!tip_) {
     errors_->Add(1);
     return EncodeStatusReply(Code::kError, "no certified tip yet");
   }
-  const std::uint64_t tip_height = tip_->header.height;
   Hash256 key;
   if (config_.enable_cache) {
     key = ResponseCache::Key(req.op, req.account, req.from_height,
-                             req.to_height, tip_height);
+                             req.to_height, tip_->header.height);
     if (auto hit = cache_.Lookup(key)) {
       served_->Add(1);
       return std::move(*hit);
     }
   }
   query::HistoricalQueryProof proof =
-      req.op == Op::kHistorical
+      historical
           ? index_.Query(req.account, req.from_height, req.to_height)
           : index_.AggregateQuery(req.account, req.from_height, req.to_height);
-  Bytes reply = EncodeQueryReply(tip_height, proof);
+  Bytes reply = EncodeQueryReply(*tip_, proof);
   if (config_.enable_cache) cache_.Insert(key, reply);
   served_->Add(1);
   return reply;

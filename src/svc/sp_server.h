@@ -146,11 +146,13 @@ class SpServer {
   void HandleFrame(Bytes request, Respond respond);
   /// Pool-thread entry: decode, serve, encode.
   Bytes Process(const Bytes& request);
-  Bytes ProcessQuery(const QueryRequest& req);
+  /// A plain or shard-scoped query frame: decode, ownership check, then the
+  /// proof and the tip it was built at, read under one shared lock.
+  Bytes ProcessQuery(const Bytes& frame);
   Bytes ProcessTipFetch();
   Bytes ProcessHealth();
   std::uint64_t UptimeMs() const;
-  /// Ownership + map-version checks, then the inner tip/query request.
+  /// Map-version and shard-id checks, then the inner query.
   Bytes ProcessShardScoped(const ShardScopedRequest& req);
   /// kStaleShard reply helper (counts shard_rejects).
   Bytes RejectShard(const std::string& message);

@@ -107,10 +107,11 @@ ShardMap MustCreate(const ShardMapConfig& cfg) {
   return map.value();
 }
 
-/// A Byzantine decorator: query replies pass through with their claimed tip
-/// height inflated, so the proof still parses but the replica is provably
-/// claiming a tip it cannot certify (the client's tip fetch comes back
-/// lower => "replica tip went backwards" misbehavior, not a benign fault).
+/// A Byzantine decorator: query replies pass through with the height of
+/// their carried tip header inflated, so the reply still parses but the
+/// replica is provably claiming a tip it cannot certify (the block
+/// certificate no longer signs the header => misbehavior, not a benign
+/// fault).
 class TamperTransport final : public svc::ClientTransport {
  public:
   TamperTransport(std::unique_ptr<svc::ClientTransport> inner,
@@ -127,8 +128,9 @@ class TamperTransport final : public svc::ClientTransport {
     auto body = svc::DecodeQueryBody(env.value().body);
     if (!body.ok()) return reply;  // tip/stats/map replies pass untouched
     tampered_->fetch_add(1);
+    body.value().tip.header.height += 1000;
     return Result<Bytes>(
-        svc::EncodeQueryReply(body.value().first + 1000, body.value().second));
+        svc::EncodeQueryReply(body.value().tip, body.value().proof));
   }
 
  private:

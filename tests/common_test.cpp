@@ -105,6 +105,21 @@ TEST(SerializeTest, TrailingBytesDetected) {
   EXPECT_THROW(dec.ExpectEnd(), DecodeError);
 }
 
+TEST(SerializeTest, BoolAcceptsOnlyZeroOrOne) {
+  // One byte form per bool: any other byte is a decode error, not "true".
+  Encoder enc;
+  enc.Bool(false);
+  enc.Bool(true);
+  Decoder dec(enc.bytes());
+  EXPECT_FALSE(dec.Bool());
+  EXPECT_TRUE(dec.Bool());
+  for (const std::uint8_t b : {0x02, 0x80, 0xff}) {
+    const Bytes data = {b};
+    Decoder bad(data);
+    EXPECT_THROW(bad.Bool(), DecodeError) << static_cast<int>(b);
+  }
+}
+
 TEST(StatusTest, OkAndError) {
   Status ok = Status::Ok();
   EXPECT_TRUE(ok.ok());

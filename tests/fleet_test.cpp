@@ -4,20 +4,27 @@
 // invalidation), the untrusted router (forwarding, announce fan-out, local
 // shard-map serving), and the verified scatter-gather client — including a
 // seeded fault soak between the router and one shard replica proving zero
-// corrupt results are ever accepted, the paranoid cross-check catching a
+// corrupt results are ever accepted, replicas a block apart behind a router
+// answering correctly with no one quarantined (once static, once under
+// continuous announcements), the paranoid cross-check catching a
 // divergent (lagging) replica, and the verified-tip memo (each distinct tip
 // validated once; a tampered tip or forged proof rejected even after an
 // honest tip of the same height is remembered).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chain/node.h"
+#include "common/rng.h"
 #include "dcert/issuer.h"
 #include "fleet/fleet_client.h"
 #include "fleet/fleet_router.h"
@@ -93,17 +100,26 @@ ShardMap MustCreate(const ShardMapConfig& cfg) {
   return map.value();
 }
 
+/// A longer chain for tests that keep announcing while they query.
+const FleetChain& LongChain() {
+  static FleetChain chain(20);
+  return chain;
+}
+
 /// A live in-process shard fleet: one sharded SpServer per shard x replica,
-/// each holding the full chain, each on its own loopback transport.
+/// each on its own loopback transport, each holding the first `blocks`
+/// blocks of `chain` (all of them by default).
 struct LiveFleet {
   ShardMap map;
   std::vector<std::vector<std::unique_ptr<svc::LoopbackTransport>>> transports;
   std::vector<std::vector<std::unique_ptr<svc::SpServer>>> servers;
 
   explicit LiveFleet(const ShardMapConfig& cfg,
-                     int lag_blocks_for_last_replica = 0)
+                     int lag_blocks_for_last_replica = 0,
+                     const FleetChain& chain = Chain(),
+                     std::size_t blocks = std::numeric_limits<std::size_t>::max())
       : map(MustCreate(cfg)) {
-    const auto& chain = Chain();
+    blocks = std::min(blocks, chain.announcements.size());
     transports.resize(map.TotalShards());
     servers.resize(map.TotalShards());
     for (std::uint32_t s = 0; s < map.TotalShards(); ++s) {
@@ -119,7 +135,7 @@ struct LiveFleet {
         const bool lags = lag_blocks_for_last_replica > 0 &&
                           r + 1 == map.Replicas();
         const std::size_t count =
-            chain.announcements.size() -
+            blocks -
             (lags ? static_cast<std::size_t>(lag_blocks_for_last_replica) : 0);
         for (std::size_t i = 0; i < count; ++i) {
           if (Status ast = server->Announce(chain.announcements[i]); !ast) {
@@ -148,9 +164,9 @@ struct LiveFleet {
   }
 };
 
-/// Rewrites one connection's decoded tip or query replies in flight and
-/// re-encodes them, so the frames still parse and only verification can
-/// catch the lie. The test sets the hooks between queries.
+/// Rewrites the tip or the proof inside one connection's decoded query
+/// replies in flight and re-encodes them, so the frames still parse and only
+/// verification can catch the lie. The test sets the hooks between queries.
 struct ReplyTamper {
   std::function<void(svc::TipInfo&)> tip;
   std::function<void(query::HistoricalQueryProof&)> proof;
@@ -170,22 +186,15 @@ class TamperingTransport final : public svc::ClientTransport {
     if (!scoped.ok()) return reply;
     auto op = svc::PeekOp(scoped.value().inner);
     auto env = svc::DecodeReplyEnvelope(reply.value());
-    if (!op.ok() || !env.ok() || env.value().code != svc::Code::kOk) {
+    if (!op.ok() || op.value() != svc::Op::kHistorical || !env.ok() ||
+        env.value().code != svc::Code::kOk) {
       return reply;
     }
-    if (op.value() == svc::Op::kTipFetch && tamper_->tip) {
-      auto tip = svc::DecodeTipBody(env.value().body);
-      if (!tip.ok()) return reply;
-      tamper_->tip(tip.value());
-      return svc::EncodeTipReply(tip.value());
-    }
-    if (op.value() == svc::Op::kHistorical && tamper_->proof) {
-      auto body = svc::DecodeQueryBody(env.value().body);
-      if (!body.ok()) return reply;
-      tamper_->proof(body.value().second);
-      return svc::EncodeQueryReply(body.value().first, body.value().second);
-    }
-    return reply;
+    auto body = svc::DecodeQueryBody(env.value().body);
+    if (!body.ok()) return reply;
+    if (tamper_->tip) tamper_->tip(body.value().tip);
+    if (tamper_->proof) tamper_->proof(body.value().proof);
+    return svc::EncodeQueryReply(body.value().tip, body.value().proof);
   }
 
  private:
@@ -200,6 +209,15 @@ FleetClient::BackendConnector TamperingConnector(LiveFleet& fleet,
     return [lb, tamper] {
       return Result<std::unique_ptr<svc::ClientTransport>>(
           std::make_unique<TamperingTransport>(lb->Connect(), tamper));
+    };
+  };
+}
+
+/// Client backends that all dial the router serving on `front`.
+FleetClient::BackendConnector ViaFront(svc::LoopbackTransport& front) {
+  return [&front](std::uint32_t, std::uint32_t) -> svc::Connector {
+    return [&front] {
+      return Result<std::unique_ptr<svc::ClientTransport>>(front.Connect());
     };
   };
 }
@@ -479,13 +497,7 @@ TEST(FleetRouterTest, RoutesAnnouncesAndServesMapEndToEnd) {
 
   // Scatter-gather through the router: the window spans both bands, and the
   // merged result equals the single-server truth.
-  FleetClient client(map,
-                     [&front](std::uint32_t, std::uint32_t) -> svc::Connector {
-                       return [&front] {
-                         return Result<std::unique_ptr<svc::ClientTransport>>(
-                             front.Connect());
-                       };
-                     });
+  FleetClient client(map, ViaFront(front));
   auto got = client.Historical(chain.hot_account, 1, chain.tip_height);
   ASSERT_TRUE(got.ok()) << got.message();
   EXPECT_EQ(client.Stats().subqueries, 2u);
@@ -559,13 +571,7 @@ TEST(FleetRouterTest, SeededFaultSoakAcceptsZeroCorruptReplies) {
 
   // Ground truth from the same fleet over clean direct connections.
   FleetClient truth(fleet.map, fleet.DirectConnector());
-  FleetClient client(fleet.map,
-                     [&front](std::uint32_t, std::uint32_t) -> svc::Connector {
-                       return [&front] {
-                         return Result<std::unique_ptr<svc::ClientTransport>>(
-                             front.Connect());
-                       };
-                     });
+  FleetClient client(fleet.map, ViaFront(front));
 
   int answered = 0;
   for (int round = 0; round < 20; ++round) {
@@ -583,6 +589,135 @@ TEST(FleetRouterTest, SeededFaultSoakAcceptsZeroCorruptReplies) {
   EXPECT_GT(stats.failovers, 0u);            // ... and retried on a replica
   EXPECT_EQ(stats.cross_check_mismatches, 0u);
 
+  router.Shutdown();
+}
+
+/// Every account the first `blocks` blocks of `chain` write, so random
+/// queries hit real versions.
+std::vector<std::uint64_t> WrittenAccounts(const FleetChain& chain,
+                                           std::size_t blocks) {
+  std::vector<std::uint64_t> accounts;
+  for (std::size_t i = 0; i < blocks; ++i) {
+    for (const query::HistEntry& e :
+         query::ExtractHistoricalWrites(chain.announcements[i].block)) {
+      if (std::find(accounts.begin(), accounts.end(), e.account_word) ==
+          accounts.end()) {
+        accounts.push_back(e.account_word);
+      }
+    }
+  }
+  return accounts;
+}
+
+/// Runs `n` seeded random verified queries (windows inside [1, max_height])
+/// through `client` and checks each against `truth`, an unsharded fleet
+/// client over the same chain.
+void QueryMatchesTruth(FleetClient& client, FleetClient& truth,
+                       const std::vector<std::uint64_t>& accounts,
+                       std::uint64_t max_height, int n, std::uint64_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t account =
+        accounts[rng.NextBelow(static_cast<std::uint64_t>(accounts.size()))];
+    const std::uint64_t from = rng.NextRange(1, max_height);
+    const std::uint64_t to = rng.NextRange(from, max_height);
+    if (i % 3 == 2) {
+      auto want = truth.Aggregate(account, from, to);
+      ASSERT_TRUE(want.ok()) << want.message();
+      auto got = client.Aggregate(account, from, to);
+      ASSERT_TRUE(got.ok()) << "query " << i << ": " << got.message();
+      EXPECT_EQ(got.value().count, want.value().count) << "query " << i;
+      EXPECT_EQ(got.value().sum, want.value().sum) << "query " << i;
+    } else {
+      auto want = truth.Historical(account, from, to);
+      ASSERT_TRUE(want.ok()) << want.message();
+      auto got = client.Historical(account, from, to);
+      ASSERT_TRUE(got.ok()) << "query " << i << ": " << got.message();
+      EXPECT_EQ(got.value(), want.value()) << "query " << i;
+    }
+  }
+}
+
+TEST(FleetRouterTest, ReplicaOneAnnouncementBehindIsStaleNotEvidence) {
+  // 2 height bands x 2 replicas behind a router. Block h+1 reaches replica 0
+  // of each shard only, so replica 1 is one announcement behind. The router
+  // alternates replicas, so one subquery's calls land on different tips;
+  // each reply carries the tip it was built at, so every answer verifies
+  // and neither honest replica is taken for a liar.
+  const auto& chain = Chain();
+  LiveFleet fleet(TwoBandConfig(/*replicas=*/2),
+                  /*lag_blocks_for_last_replica=*/1);
+  const std::uint64_t h = chain.tip_height - 1;
+  FleetRouter router(fleet.map, fleet.DirectConnector());
+  svc::LoopbackTransport front;
+  ASSERT_TRUE(router.Serve(front).ok());
+
+  LiveFleet direct(ShardMapConfig{});  // unsharded single server, same chain
+  FleetClient truth(direct.map, direct.DirectConnector());
+  FleetClient client(fleet.map, ViaFront(front));
+  QueryMatchesTruth(client, truth, WrittenAccounts(chain, h), h, 60, 0x1A6);
+
+  const auto stats = client.Stats();
+  EXPECT_EQ(stats.verify_failures, 0u);
+  EXPECT_EQ(stats.giveups, 0u);
+  EXPECT_TRUE(client.Health()->Evidence().empty());
+  EXPECT_FALSE(client.Health()->Quarantined(0));
+  EXPECT_FALSE(client.Health()->Quarantined(1));
+  // Both tips of both shards were served and validated once each.
+  EXPECT_EQ(stats.tip_validations, 4u);
+  router.Shutdown();
+}
+
+TEST(FleetRouterTest, ContinuousAnnounceSoakQuarantinesNoHonestReplica) {
+  // The same 2x2 fleet behind a router, now with blocks announced through
+  // the router while two threads query: the fan-out reaches the replicas
+  // one at a time, so replicas of a shard keep drifting a block apart.
+  const auto& chain = LongChain();
+  constexpr std::size_t kStart = 8;
+  LiveFleet fleet(TwoBandConfig(/*replicas=*/2), 0, chain, kStart);
+  FleetRouter router(fleet.map, fleet.DirectConnector());
+  svc::LoopbackTransport front;
+  ASSERT_TRUE(router.Serve(front).ok());
+
+  LiveFleet direct(ShardMapConfig{}, 0, chain);
+  FleetClient truth(direct.map, direct.DirectConnector());
+  FleetClient client(fleet.map, ViaFront(front));
+  const auto accounts = WrittenAccounts(chain, kStart);
+
+  std::atomic<bool> announcing{true};
+  std::thread announcer([&] {
+    svc::SpClient sp(front.Connect());
+    for (std::size_t i = kStart; i < chain.announcements.size(); ++i) {
+      auto ack = sp.Announce(chain.announcements[i]);
+      EXPECT_TRUE(ack.ok()) << ack.message();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    announcing = false;
+  });
+  std::vector<std::thread> queriers;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    queriers.emplace_back([&, t] {
+      for (std::uint64_t round = 0; announcing.load() || round < 2; ++round) {
+        QueryMatchesTruth(client, truth, accounts, kStart, 25,
+                          0x50A + t * 1000 + round);
+      }
+    });
+  }
+  announcer.join();
+  for (auto& q : queriers) q.join();
+
+  for (const auto& per_shard : fleet.servers) {
+    for (const auto& server : per_shard) {
+      EXPECT_EQ(server->Stats().tip_height, chain.tip_height);
+    }
+  }
+  const auto stats = client.Stats();
+  EXPECT_GE(stats.queries, 100u);
+  EXPECT_EQ(stats.verify_failures, 0u);
+  EXPECT_EQ(stats.giveups, 0u);
+  EXPECT_TRUE(client.Health()->Evidence().empty());
+  EXPECT_FALSE(client.Health()->Quarantined(0));
+  EXPECT_FALSE(client.Health()->Quarantined(1));
   router.Shutdown();
 }
 

@@ -84,6 +84,22 @@ TEST(MerkleTreeTest, PathSerializationRoundTrip) {
   EXPECT_TRUE(MerkleTree::VerifyPath(tree.Root(), leaves[7], decoded).ok());
 }
 
+TEST(MerkleTreeTest, PathWithNonCanonicalFlagByteFailsToDecode) {
+  // Each step ends with its sibling_on_left flag; read as "true", a 0x02
+  // there would give the same path a second byte form that verifies.
+  auto leaves = MakeLeaves(13);
+  MerkleTree tree(leaves);
+  Encoder enc;
+  tree.Prove(7).Encode(enc);
+  Bytes bytes = enc.Take();
+  const std::size_t first_flag = 8 + 4 + 32;  // leaf_index, count, sibling
+  ASSERT_GT(bytes.size(), first_flag);
+  ASSERT_LE(bytes[first_flag], 1);
+  bytes[first_flag] = 0x02;
+  Decoder dec(bytes);
+  EXPECT_THROW(MerklePath::Decode(dec), DecodeError);
+}
+
 TEST(MerkleTreeTest, ComputeRootMatchesTree) {
   auto leaves = MakeLeaves(10);
   EXPECT_EQ(MerkleTree::ComputeRoot(leaves), MerkleTree(leaves).Root());

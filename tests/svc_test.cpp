@@ -100,21 +100,30 @@ void AnnounceAll(SpServer& server, const CertifiedChain& chain) {
   }
 }
 
-/// Fetches the tip through `client` and validates it exactly as a superlight
-/// client: block certificate, then the index certificate binding. Returns the
-/// certified historical digest replies must verify against.
+/// Validates `tip` exactly as a superlight client: block certificate, then
+/// the index certificate binding. Returns the certified historical digest
+/// replies must verify against.
+Result<Hash256> CertifiedDigest(const TipInfo& tip) {
+  core::SuperlightClient light(core::ExpectedEnclaveMeasurement());
+  if (Status st = light.ValidateAndAccept(tip.header, tip.block_cert); !st) {
+    return Result<Hash256>(st);
+  }
+  if (Status st = light.AcceptIndexCert(tip.header, tip.index_cert,
+                                        tip.index_digest, "historical");
+      !st) {
+    return Result<Hash256>(st);
+  }
+  return *light.CertifiedIndexDigest("historical");
+}
+
+/// Fetches the tip through `client` and validates it (CertifiedDigest).
 Hash256 TrustedDigest(SpClient& client) {
   auto tip = client.FetchTip();
   EXPECT_TRUE(tip.ok()) << tip.message();
-  core::SuperlightClient light(core::ExpectedEnclaveMeasurement());
-  Status accept = light.ValidateAndAccept(tip.value().header, tip.value().block_cert);
-  EXPECT_TRUE(accept.ok()) << accept.message();
-  Status index = light.AcceptIndexCert(tip.value().header, tip.value().index_cert,
-                                       tip.value().index_digest, "historical");
-  EXPECT_TRUE(index.ok()) << index.message();
-  auto digest = light.CertifiedIndexDigest("historical");
-  EXPECT_TRUE(digest.has_value());
-  return digest.value_or(Hash256{});
+  if (!tip.ok()) return Hash256{};
+  auto digest = CertifiedDigest(tip.value());
+  EXPECT_TRUE(digest.ok()) << digest.message();
+  return digest.ok() ? digest.value() : Hash256{};
 }
 
 TEST(SvcResponseCacheTest, HitsMissesEvictionsInvalidations) {
@@ -307,7 +316,7 @@ TEST(SvcLoopbackTest, CacheInvalidatedOnNewCertifiedBlock) {
   ASSERT_TRUE(server.Announce(chain.announcements.back()).ok());
   auto after_block = client.Historical(chain.hot_account, 1, old_tip);
   ASSERT_TRUE(after_block.ok());
-  EXPECT_EQ(after_block.value().tip_height, chain.tip_height);
+  EXPECT_EQ(after_block.value().tip.header.height, chain.tip_height);
   SpServerStats after = server.Stats();
   EXPECT_GT(after.cache.invalidations, before.cache.invalidations);
   EXPECT_EQ(after.cache.misses, 2u);
@@ -470,10 +479,19 @@ TEST(SvcTcpTest, TamperedReplyRejectedByClientVerification) {
   ASSERT_TRUE(raw.ok()) << raw.message();
   ASSERT_GT(raw.value().size(), 16u);
 
+  // The proof is the last field of the reply; the carried tip precedes it.
+  auto clean = DecodeReplyEnvelope(raw.value());
+  ASSERT_TRUE(clean.ok());
+  auto clean_body = DecodeQueryBody(clean.value().body);
+  ASSERT_TRUE(clean_body.ok()) << clean_body.message();
+  const std::size_t proof_len = clean_body.value().proof.Serialize().size();
+  ASSERT_LT(proof_len, raw.value().size());
+  const std::size_t proof_at = raw.value().size() - proof_len;
+
   // Every single-byte corruption of the proof must be caught: either the
   // reply no longer decodes, or verification against the certified digest
-  // fails. Flip a few positions spread across the frame.
-  for (std::size_t pos : {raw.value().size() / 4, raw.value().size() / 2,
+  // fails. Flip a few positions spread across the proof.
+  for (std::size_t pos : {proof_at + proof_len / 4, proof_at + proof_len / 2,
                           raw.value().size() - 2}) {
     Bytes tampered = raw.value();
     tampered[pos] ^= 0x01;
@@ -482,7 +500,7 @@ TEST(SvcTcpTest, TamperedReplyRejectedByClientVerification) {
     auto body = DecodeQueryBody(envelope.value().body);
     if (!body.ok()) continue;
     auto verified = query::HistoricalIndex::VerifyQuery(
-        digest, q.account, q.from_height, q.to_height, body.value().second);
+        digest, q.account, q.from_height, q.to_height, body.value().proof);
     EXPECT_FALSE(verified.ok())
         << "tampered byte " << pos << " verified against the certified digest";
   }
@@ -495,8 +513,45 @@ TEST(SvcTcpTest, TamperedReplyRejectedByClientVerification) {
   ASSERT_TRUE(body.ok());
   EXPECT_TRUE(query::HistoricalIndex::VerifyQuery(digest, q.account,
                                                   q.from_height, q.to_height,
-                                                  body.value().second)
+                                                  body.value().proof)
                   .ok());
+  server.Shutdown();
+}
+
+TEST(SvcProtocolTest, QueryReplyTruncatedOrPaddedIsRejected) {
+  // A query reply is the carried tip's fields followed by the proof, every
+  // field length-prefixed: any prefix of the frame and the frame plus one
+  // trailing byte must fail to decode, and the whole frame round-trips.
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+  AnnounceAll(server, chain);
+  auto conn = loopback.Connect();
+  auto raw = conn->Call(EncodeQueryRequest(
+      {Op::kHistorical, chain.hot_account, 1, chain.tip_height}));
+  ASSERT_TRUE(raw.ok()) << raw.message();
+  const Bytes& frame = raw.value();
+
+  auto decode = [](ByteView bytes) -> Result<QueryReply> {
+    auto env = DecodeReplyEnvelope(bytes);
+    if (!env.ok()) return Result<QueryReply>(env.status());
+    if (env.value().code != Code::kOk) {
+      return Result<QueryReply>::Error("not ok");
+    }
+    return DecodeQueryBody(env.value().body);
+  };
+  auto whole = decode(frame);
+  ASSERT_TRUE(whole.ok()) << whole.message();
+  EXPECT_EQ(whole.value().tip.header.height, chain.tip_height);
+  EXPECT_EQ(EncodeQueryReply(whole.value().tip, whole.value().proof), frame);
+
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    EXPECT_FALSE(decode(ByteView(frame.data(), cut)).ok()) << "cut at " << cut;
+  }
+  Bytes padded = frame;
+  padded.push_back(0);
+  EXPECT_FALSE(decode(padded).ok());
   server.Shutdown();
 }
 
@@ -529,6 +584,61 @@ TEST(SvcConcurrencyTest, AnnouncementsRaceQueriesSafely) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(server.Stats().tip_height, chain.tip_height);
   EXPECT_GT(server.Stats().cache.invalidations, 0u);
+  server.Shutdown();
+}
+
+TEST(SvcConcurrencyTest, RepliesVerifyAgainstTheirCarriedTip) {
+  // Blocks land while readers query: each reply must verify against the tip
+  // it carries (no second round trip to race), and one server's tips only
+  // move forward.
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+  ASSERT_TRUE(server.Announce(chain.announcements.front()).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> verified{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      SpClient client(loopback.Connect());
+      std::uint64_t last_tip = 0;
+      for (int i = 0; !stop.load(); ++i) {
+        const bool historical = (i + t) % 2 == 0;
+        auto r = historical
+                     ? client.Historical(chain.hot_account, 1, chain.tip_height)
+                     : client.Aggregate(chain.hot_account, 1, chain.tip_height);
+        ASSERT_TRUE(r.ok()) << r.message();
+        const TipInfo& tip = r.value().tip;
+        ASSERT_GE(tip.header.height, last_tip);
+        last_tip = tip.header.height;
+        auto digest = CertifiedDigest(tip);
+        ASSERT_TRUE(digest.ok()) << digest.message();
+        const Status st =
+            historical
+                ? query::HistoricalIndex::VerifyQuery(
+                      digest.value(), chain.hot_account, 1, chain.tip_height,
+                      r.value().proof)
+                      .status()
+                : query::HistoricalIndex::VerifyAggregateQuery(
+                      digest.value(), chain.hot_account, 1, chain.tip_height,
+                      r.value().proof)
+                      .status();
+        ASSERT_TRUE(st.ok()) << "tip " << tip.header.height << ": "
+                             << st.message();
+        verified.fetch_add(1);
+      }
+    });
+  }
+  for (std::size_t i = 1; i < chain.announcements.size(); ++i) {
+    ASSERT_TRUE(server.Announce(chain.announcements[i]).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  stop = true;
+  for (auto& t : readers) t.join();
+  EXPECT_GT(verified.load(), 0u);
+  EXPECT_EQ(server.Stats().tip_height, chain.tip_height);
   server.Shutdown();
 }
 

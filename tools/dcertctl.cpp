@@ -1194,52 +1194,57 @@ int CmdQuery(const std::string& target, int argc, char** argv) {
       },
       CliRetryPolicy());
 
-  // Every subcommand starts from a validated tip: certificate envelope,
-  // header binding, and index certificate all check out or we stop.
-  auto tip = client.FetchTip();
-  if (!tip.ok()) {
-    std::fprintf(stderr, "tip fetch failed: %s\n", tip.message().c_str());
+  // Every answer is checked against a validated tip: certificate envelope,
+  // header binding, and index certificate all check out or we stop. A query
+  // reply carries the tip its proof was built at, so a block landing
+  // mid-command cannot make an honest proof look forged.
+  auto certified_digest = [](const svc::TipInfo& tip) -> std::optional<Hash256> {
+    core::SuperlightClient light(core::ExpectedEnclaveMeasurement());
+    if (Status st = light.ValidateAndAccept(tip.header, tip.block_cert); !st) {
+      std::fprintf(stderr, "tip certificate rejected: %s\n",
+                   st.message().c_str());
+      return std::nullopt;
+    }
+    if (Status st = light.AcceptIndexCert(tip.header, tip.index_cert,
+                                          tip.index_digest, "historical");
+        !st) {
+      std::fprintf(stderr, "index certificate rejected: %s\n",
+                   st.message().c_str());
+      return std::nullopt;
+    }
+    return *light.CertifiedIndexDigest("historical");
+  };
+  auto call_failed = [&client](const char* call, const std::string& message) {
+    std::fprintf(stderr, "%s failed: %s\n", call, message.c_str());
     if (client.Stats().retries > 0) {
       std::fprintf(stderr, "(gave up after %llu retries, %llu reconnects)\n",
                    static_cast<unsigned long long>(client.Stats().retries),
                    static_cast<unsigned long long>(client.Stats().reconnects));
     }
     return 1;
-  }
-  core::SuperlightClient light(core::ExpectedEnclaveMeasurement());
-  if (Status st = light.ValidateAndAccept(tip.value().header,
-                                          tip.value().block_cert);
-      !st) {
-    std::fprintf(stderr, "tip certificate rejected: %s\n", st.message().c_str());
-    return 1;
-  }
-  if (Status st =
-          light.AcceptIndexCert(tip.value().header, tip.value().index_cert,
-                                tip.value().index_digest, "historical");
-      !st) {
-    std::fprintf(stderr, "index certificate rejected: %s\n",
-                 st.message().c_str());
-    return 1;
-  }
-  const Hash256 digest = *light.CertifiedIndexDigest("historical");
+  };
 
   if (what == "tip") {
+    auto tip = client.FetchTip();
+    if (!tip.ok()) return call_failed("tip fetch", tip.message());
+    const auto digest = certified_digest(tip.value());
+    if (!digest) return 1;
     std::printf("tip height:    %llu\n",
                 static_cast<unsigned long long>(tip.value().header.height));
     std::printf("header hash:   %s\n",
                 tip.value().header.Hash().ToHex().c_str());
-    std::printf("index digest:  %s\n", digest.ToHex().c_str());
+    std::printf("index digest:  %s\n", digest->ToHex().c_str());
     std::printf("certificates:  VALID (block + index, measurement pinned)\n");
     return 0;
   }
+  auto reply = what == "hist" ? client.Historical(account, from, to)
+                              : client.Aggregate(account, from, to);
+  if (!reply.ok()) return call_failed("query", reply.message());
+  const auto digest = certified_digest(reply.value().tip);
+  if (!digest) return 1;
   if (what == "hist") {
-    auto reply = client.Historical(account, from, to);
-    if (!reply.ok()) {
-      std::fprintf(stderr, "query failed: %s\n", reply.message().c_str());
-      return 1;
-    }
     auto versions = query::HistoricalIndex::VerifyQuery(
-        digest, account, from, to, reply.value().proof);
+        *digest, account, from, to, reply.value().proof);
     if (!versions.ok()) {
       std::fprintf(stderr, "PROOF REJECTED: %s\n", versions.message().c_str());
       return 1;
@@ -1257,13 +1262,8 @@ int CmdQuery(const std::string& target, int argc, char** argv) {
     }
     return 0;
   }
-  auto reply = client.Aggregate(account, from, to);
-  if (!reply.ok()) {
-    std::fprintf(stderr, "query failed: %s\n", reply.message().c_str());
-    return 1;
-  }
   auto agg = query::HistoricalIndex::VerifyAggregateQuery(
-      digest, account, from, to, reply.value().proof);
+      *digest, account, from, to, reply.value().proof);
   if (!agg.ok()) {
     std::fprintf(stderr, "PROOF REJECTED: %s\n", agg.message().c_str());
     return 1;
