@@ -29,6 +29,9 @@ struct PoolMetrics {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
+  // Register the pool families now, so they read 0 rather than being absent
+  // from stats snapshots until the first task is enqueued.
+  PoolMetrics::Get();
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "chain/consensus.h"
+#include "crypto/sha256.h"
 
 namespace dcert::core {
 
@@ -11,8 +12,11 @@ SuperlightClient::SuperlightClient(Hash256 expected_measurement)
 
 Status SuperlightClient::VerifyEnvelopeCached(const BlockCertificate& cert) {
   // One report verification per enclave identity (Sec. 4.3): afterwards only
-  // the signature check runs per certificate.
-  Hash256 cache_key = cert.report.quote.Digest();
+  // the signature check runs per certificate. The key covers the whole
+  // report, IAS signature included: a cache keyed on the quote alone would
+  // accept a later certificate carrying the same quote under a corrupted
+  // IAS signature. Honest certificates carry identical report bytes.
+  Hash256 cache_key = crypto::Sha256::Digest(cert.report.Serialize());
   auto it = attested_keys_.find(cache_key);
   if (it != attested_keys_.end() && it->second) {
     if (cert.report.quote.report_data != KeyBindingReportData(cert.pk_enc)) {

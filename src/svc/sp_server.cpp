@@ -20,7 +20,6 @@ constexpr std::size_t kMaxPendingAnnouncements = 1024;
 SpServer::SpServer(SpServerConfig config)
     : config_(config),
       start_time_(std::chrono::steady_clock::now()),
-      pool_(config.workers),
       cache_(config.cache_shards, config.cache_capacity_bytes),
       index_("historical"),
       served_(std::make_shared<obs::Counter>()),
@@ -35,6 +34,9 @@ SpServer::SpServer(SpServerConfig config)
       lat_aggregate_ns_(std::make_shared<obs::Histogram>()),
       lat_announce_ns_(std::make_shared<obs::Histogram>()),
       lat_stats_ns_(std::make_shared<obs::Histogram>()) {
+  if (config_.workers == 0) {
+    config_.workers = std::max(1u, std::thread::hardware_concurrency());
+  }
   auto& reg = obs::MetricsRegistry::Global();
   reg.Register("svc.server.served", served_);
   reg.Register("svc.server.shed", shed_);
@@ -85,11 +87,14 @@ void SpServer::Shutdown() {
 void SpServer::HandleFrame(Bytes request, Respond respond) {
   const char* shed_reason = nullptr;
   {
-    std::lock_guard<std::mutex> lk(admit_mu_);
+    std::unique_lock<std::mutex> lk(admit_mu_);
     if (draining_ || in_flight_ >= config_.max_queue) {
       shed_reason = draining_ ? "draining" : "overloaded";
     } else {
       ++in_flight_;
+      inflight_gauge_->Add(1);
+      permit_cv_.wait(lk, [this] { return executing_ < config_.workers; });
+      ++executing_;
     }
   }
   if (shed_reason != nullptr) {
@@ -100,18 +105,12 @@ void SpServer::HandleFrame(Bytes request, Respond respond) {
     respond(EncodeStatusReply(Code::kBusy, shed_reason));
     return;
   }
-  // in_flight_ under admit_mu_ stays the source of truth for admission and
-  // drain; the gauge is a lock-free mirror for the live stats endpoint.
-  inflight_gauge_->Add(1);
-  pool_.Submit(
-      [this, request = std::move(request), respond = std::move(respond)] {
-        Bytes reply = Process(request);
-        respond(std::move(reply));
-        inflight_gauge_->Sub(1);
-        std::lock_guard<std::mutex> lk(admit_mu_);
-        --in_flight_;
-        if (in_flight_ == 0) drain_cv_.notify_all();
-      });
+  respond(Process(request));
+  inflight_gauge_->Sub(1);
+  std::lock_guard<std::mutex> lk(admit_mu_);
+  --executing_;
+  permit_cv_.notify_one();
+  if (--in_flight_ == 0) drain_cv_.notify_all();
 }
 
 Bytes SpServer::Process(const Bytes& request) {

@@ -1,19 +1,19 @@
 // Multi-threaded Query Service Provider (the paper's SP, Sec. 5) behind a
 // Transport: framed requests — historical/aggregate queries, certified-block
-// announcements, tip fetches — are admission-controlled on the transport
-// thread and dispatched onto a common::ThreadPool. The server maintains its
-// own live HistoricalIndex from announced blocks (validating the CI's block
-// and index certificates exactly as a superlight client would, so a tampered
-// announcement never enters the index), serves authenticated proofs under a
-// reader/writer lock, and caches encoded replies in a byte-bounded sharded
-// LRU keyed by (query, tip height) that is flushed whenever a new certified
-// block lands.
+// announcements, tip fetches — are admission-controlled and served on the
+// transport thread that delivered them, which responds before returning. The
+// server maintains its own live HistoricalIndex from announced blocks
+// (validating the CI's block and index certificates exactly as a superlight
+// client would, so a tampered announcement never enters the index), serves
+// authenticated proofs under a reader/writer lock, and caches encoded replies
+// in a byte-bounded sharded LRU keyed by (query, tip height) that is flushed
+// whenever a new certified block lands.
 //
-// Admission control: at most `max_queue` requests may be admitted
-// (queued + executing) at once; beyond that the transport thread replies
-// kBusy immediately without touching the pool (load shedding). Shutdown()
-// first stops admitting (new requests shed), then waits for the admitted
-// ones to finish (graceful drain), then stops the transport.
+// Admission control: at most `max_queue` requests may be admitted (waiting
+// or executing) at once, beyond that kBusy is replied at once (load
+// shedding); at most `workers` of them execute at once. Shutdown() first
+// stops admitting (new requests shed), then waits for the admitted ones to
+// finish (graceful drain), then stops the transport.
 #pragma once
 
 #include <chrono>
@@ -27,7 +27,6 @@
 
 #include "chain/block_store.h"
 #include "ckpt/checkpoint.h"
-#include "common/thread_pool.h"
 #include "dcert/cert_store.h"
 #include "dcert/enclave_program.h"
 #include "obs/metrics.h"
@@ -39,9 +38,9 @@
 namespace dcert::svc {
 
 struct SpServerConfig {
-  /// Worker threads the server's common::ThreadPool runs requests on.
+  /// At most this many admitted requests execute at once (0: one per core).
   std::size_t workers = 4;
-  /// Admitted-request bound (queued + executing); above it requests shed.
+  /// Admitted-request bound (waiting + executing); above it requests shed.
   std::size_t max_queue = 64;
   /// Reply cache: `cache_capacity_bytes` of encoded reply frames in total,
   /// split evenly across `cache_shards` lock shards. Each shard LRU-evicts
@@ -142,9 +141,9 @@ class SpServer {
   SpServerStats Stats() const;
 
  private:
-  /// Transport-thread entry: admission control + pool dispatch.
+  /// Transport-thread entry: admission, a permit, Process, then respond.
   void HandleFrame(Bytes request, Respond respond);
-  /// Pool-thread entry: decode, serve, encode.
+  /// Decode, serve, encode.
   Bytes Process(const Bytes& request);
   /// A plain or shard-scoped query frame: decode, ownership check, then the
   /// proof and the tip it was built at, read under one shared lock.
@@ -173,14 +172,15 @@ class SpServer {
   /// Process start for the kHealth uptime field (per-server is the closest
   /// observable proxy; servers are constructed at process start in practice).
   std::chrono::steady_clock::time_point start_time_;
-  common::ThreadPool pool_;
   ResponseCache cache_;
   ServerTransport* transport_ = nullptr;
 
   // Admission control.
   mutable std::mutex admit_mu_;
   std::condition_variable drain_cv_;
-  std::size_t in_flight_ = 0;
+  std::condition_variable permit_cv_;
+  std::size_t in_flight_ = 0;  // admitted: waiting for a permit or executing
+  std::size_t executing_ = 0;  // holding one of config_.workers permits
   bool draining_ = false;
 
   // Serving state: the live index plus the certified tip it reflects.

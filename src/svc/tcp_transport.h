@@ -1,8 +1,8 @@
 // Real-socket implementation of the svc transport: length-prefixed frames
 // (u32 little-endian length, then the payload) over TCP on 127.0.0.1. The
 // server runs one accept thread plus one reader thread per connection;
-// replies may be written from any thread (the SpServer's pool workers), so
-// each connection serializes writes with a mutex.
+// a handler may respond from any thread (SpServer and FleetRouter respond on
+// the reader thread), so each connection serializes writes with a mutex.
 //
 // Connection lifecycle: a reader that hits EOF/error closes its fd and
 // removes its registry entry itself; the accept loop reaps finished reader
@@ -36,8 +36,8 @@ struct TcpServerConfig {
   /// (accepting first clears the kernel backlog slot).
   std::size_t max_connections = 256;
   /// SO_SNDTIMEO on accepted sockets: bounds how long a reply write to a
-  /// stuck client can pin a pool worker. A timed-out write poisons the
-  /// connection so its reader reaps it.
+  /// stuck client can pin the responding thread (and SpServer's permit). A
+  /// timed-out write poisons the connection so its reader reaps it.
   int write_timeout_ms = 10000;
 };
 

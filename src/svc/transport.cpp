@@ -38,9 +38,7 @@ std::unique_ptr<ClientTransport> LoopbackTransport::Connect() {
       std::future<Bytes> future = promise->get_future();
       handler(Bytes(request.begin(), request.end()),
               [promise](Bytes reply) { promise->set_value(std::move(reply)); });
-      // The server always responds (shed requests get an immediate busy
-      // frame); the deadline is a backstop against a buggy or stalled
-      // handler, surfaced like any slow server would be over TCP.
+      // Backstop for a handler that never responds (see the class comment).
       if (future.wait_for(deadline) != std::future_status::ready) {
         return Result<Bytes>(TimeoutError("loopback: no reply within deadline"));
       }

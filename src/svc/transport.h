@@ -106,7 +106,9 @@ using Connector = std::function<Result<std::unique_ptr<ClientTransport>>()>;
 /// In-process transport: client Calls invoke the server handler directly on
 /// the calling thread and block on a future for the reply. Concurrency comes
 /// from the callers — N client threads mean N concurrent handler invocations,
-/// exactly like N TCP connections.
+/// exactly like N TCP connections. The call deadline bounds only the wait
+/// for a handler that responds asynchronously: SpServer and FleetRouter
+/// respond before returning, so such a call lasts as long as the handler.
 class LoopbackTransport final : public ServerTransport {
  public:
   Status Start(FrameHandler handler) override;

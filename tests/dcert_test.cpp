@@ -6,6 +6,7 @@
 #include "dcert/enclave_program.h"
 #include "dcert/issuer.h"
 #include "dcert/superlight.h"
+#include "query/historical_index.h"
 #include "workloads/workloads.h"
 
 namespace dcert::core {
@@ -280,6 +281,49 @@ TEST(SuperlightTest, RejectsSelfSignedCertificateWithoutAttestation) {
       fake.MakeQuote(Hash256()));  // wrong report_data binding
   SuperlightClient client(ExpectedEnclaveMeasurement());
   EXPECT_FALSE(client.ValidateAndAccept(blk.header, forged).ok());
+}
+
+TEST(SuperlightTest, IndexCertWithCorruptedIasSignatureRejected) {
+  // The index certificate carries the same quote as the block certificate
+  // the client just accepted, so only the IAS signature tells a corrupted
+  // report apart: the attested-key cache must not answer for it.
+  TestRig rig;
+  auto hist = std::make_shared<query::HistoricalIndex>();
+  rig.ci->AttachIndex(hist);
+  chain::Block blk = rig.NextBlock();
+  auto certs = rig.ci->ProcessBlockHierarchical(blk);
+  ASSERT_TRUE(certs.ok()) << certs.message();
+  ASSERT_EQ(certs.value().size(), 1u);
+  const IndexCertificate& honest = certs.value()[0];
+  SuperlightClient client(ExpectedEnclaveMeasurement());
+  ASSERT_TRUE(client.ValidateAndAccept(blk.header, *rig.ci->LatestCert()).ok());
+  ASSERT_EQ(honest.report.quote, rig.ci->LatestCert()->report.quote);
+
+  const Bytes sig = honest.report.ias_signature.Serialize();
+  std::size_t flips = 0;
+  for (std::size_t bit = 0; bit < sig.size() * 8; ++bit) {
+    Bytes flipped = sig;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    auto decoded = crypto::Signature::Deserialize(flipped);
+    if (!decoded) continue;  // out of range: no wire codec would carry it
+    IndexCertificate forged = honest;
+    forged.report.ias_signature = *decoded;
+    EXPECT_FALSE(client
+                     .AcceptIndexCert(blk.header, forged, hist->CurrentDigest(),
+                                      hist->Id())
+                     .ok())
+        << "IAS signature bit " << bit;
+    ++flips;
+  }
+  EXPECT_GT(flips, 500u);
+
+  // The honest index certificate still hits the cache: no new report check.
+  const std::uint64_t checks = client.ReportVerifications();
+  EXPECT_TRUE(client
+                  .AcceptIndexCert(blk.header, honest, hist->CurrentDigest(),
+                                   hist->Id())
+                  .ok());
+  EXPECT_EQ(client.ReportVerifications(), checks);
 }
 
 TEST(SuperlightTest, StorageIsConstantAcrossChainGrowth) {

@@ -942,5 +942,31 @@ TEST(FleetClientTest, ForgedProofRejectedAgainstRememberedTip) {
       << evidence[0].verdict;
 }
 
+TEST(FleetClientTest, CorruptedIndexCertIasSignatureRejected) {
+  // The index certificate's report keeps its quote (the same one the block
+  // certificate carries) but its IAS signature is damaged: the new bytes
+  // miss the tip memo, and validation must not take the block certificate's
+  // attestation for it.
+  LiveFleet fleet(ShardMapConfig{});
+  const auto& chain = Chain();
+  ReplyTamper tamper;
+  FleetClient client(fleet.map, TamperingConnector(fleet, &tamper));
+  auto honest = client.Historical(chain.hot_account, 1, chain.tip_height);
+  ASSERT_TRUE(honest.ok()) << honest.message();
+
+  tamper.tip = [](svc::TipInfo& t) {
+    t.index_cert.report.ias_signature.s.limbs[0] ^= 1;
+  };
+  auto got = client.Historical(chain.hot_account, 1, chain.tip_height);
+  EXPECT_FALSE(got.ok());
+  EXPECT_EQ(client.Stats().verify_failures, 1u);
+  EXPECT_EQ(client.Stats().tip_validations, 2u);
+  EXPECT_TRUE(client.Health()->Quarantined(0));
+  const auto evidence = client.Health()->Evidence();
+  ASSERT_EQ(evidence.size(), 1u);
+  EXPECT_NE(evidence[0].verdict.find("index cert"), std::string::npos)
+      << evidence[0].verdict;
+}
+
 }  // namespace
 }  // namespace dcert::fleet

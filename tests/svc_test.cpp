@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -390,6 +391,97 @@ TEST(SvcLoopbackTest, GracefulDrainCompletesInFlightRequests) {
   EXPECT_FALSE(r.ok());
 }
 
+/// Runs `clients` concurrent one-shot loopback queries; returns how many
+/// succeeded and the wall time of the whole burst.
+struct Burst {
+  int ok = 0;
+  std::chrono::milliseconds elapsed{0};
+};
+Burst RunBurst(LoopbackTransport& loopback, const CertifiedChain& chain,
+               int clients) {
+  std::atomic<int> ok{0};
+  std::vector<std::thread> threads;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int t = 0; t < clients; ++t) {
+    threads.emplace_back([&] {
+      SpClient client(loopback.Connect());
+      if (client.Historical(chain.hot_account, 1, chain.tip_height).ok()) ++ok;
+    });
+  }
+  for (auto& t : threads) t.join();
+  return {ok.load(), std::chrono::duration_cast<std::chrono::milliseconds>(
+                         std::chrono::steady_clock::now() - t0)};
+}
+
+/// Waits until the newest SpServer's `svc.server.inflight` gauge (admitted
+/// requests: waiting for a permit or executing) reads `n`.
+void AwaitInflight(std::int64_t n) {
+  for (int i = 0; i < 5000; ++i) {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+    const auto it = snap.gauges.find("svc.server.inflight");
+    if (it != snap.gauges.end() && it->second == n) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ADD_FAILURE() << "in-flight requests never reached " << n;
+}
+
+/// Three concurrent loopback queries against a server with `workers`
+/// permits, room to admit all three, and a 50 ms service time.
+Burst BurstOfThree(std::size_t workers, std::uint64_t* shed) {
+  const CertifiedChain& chain = Chain();
+  SpServerConfig config;
+  config.workers = workers;
+  config.max_queue = 4;
+  config.debug_process_delay_ms = 50;
+  SpServer server(config);
+  LoopbackTransport loopback;
+  EXPECT_TRUE(server.Serve(loopback).ok());
+  AnnounceAll(server, chain);
+  const Burst burst = RunBurst(loopback, chain, 3);
+  *shed = server.Stats().shed;
+  server.Shutdown();
+  return burst;
+}
+
+TEST(SvcExecutionTest, OneWorkerSerializesAdmittedRequestsWithoutShedding) {
+  std::uint64_t shed = 0;
+  const Burst burst = BurstOfThree(/*workers=*/1, &shed);
+  EXPECT_EQ(burst.ok, 3);
+  EXPECT_GE(burst.elapsed, std::chrono::milliseconds(150));
+  EXPECT_EQ(shed, 0u);
+}
+
+TEST(SvcExecutionTest, TwoWorkersRunAdmittedRequestsConcurrently) {
+  std::uint64_t shed = 0;
+  const Burst burst = BurstOfThree(/*workers=*/2, &shed);
+  EXPECT_EQ(burst.ok, 3);
+  EXPECT_LT(burst.elapsed, std::chrono::milliseconds(150));
+  EXPECT_EQ(shed, 0u);
+}
+
+TEST(SvcExecutionTest, ShutdownDrainsRequestsWaitingForAPermit) {
+  const CertifiedChain& chain = Chain();
+  SpServerConfig config;
+  config.workers = 1;
+  config.max_queue = 8;
+  config.debug_process_delay_ms = 60;
+  SpServer server(config);
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+  AnnounceAll(server, chain);
+
+  constexpr int kClients = 4;
+  std::future<Burst> burst = std::async(std::launch::async, [&] {
+    return RunBurst(loopback, chain, kClients);
+  });
+  // One executes, three wait for the permit; drain must finish all four.
+  AwaitInflight(kClients);
+  server.Shutdown();
+  EXPECT_EQ(burst.get().ok, kClients);
+  EXPECT_EQ(server.Stats().shed, 0u);
+  EXPECT_EQ(server.Stats().served, static_cast<std::uint64_t>(kClients));
+}
+
 TEST(SvcLoopbackTest, OutOfOrderAnnouncementsApplyContiguously) {
   const CertifiedChain& chain = Chain();
   SpServer server(SpServerConfig{});
@@ -651,6 +743,40 @@ std::size_t CountOpenFds() {
   while (readdir(dir) != nullptr) ++n;
   closedir(dir);
   return n;
+}
+
+TEST(SvcTcpTest, SlowRequestDoesNotDelayAnotherConnection) {
+  // Each connection's reader thread runs its own requests; with two permits
+  // a request arriving while another connection's is mid-execution starts
+  // at once instead of queueing behind it.
+  const CertifiedChain& chain = Chain();
+  SpServerConfig config;
+  config.workers = 2;
+  config.debug_process_delay_ms = 300;
+  SpServer server(config);
+  TcpServerTransport tcp(/*port=*/0);
+  ASSERT_TRUE(server.Serve(tcp).ok());
+  AnnounceAll(server, chain);
+
+  auto slow_conn = TcpClientTransport::Connect("127.0.0.1", tcp.Port());
+  auto fast_conn = TcpClientTransport::Connect("127.0.0.1", tcp.Port());
+  ASSERT_TRUE(slow_conn.ok() && fast_conn.ok());
+  std::atomic<bool> slow_ok{false};
+  std::thread slow([&] {
+    SpClient client(std::move(slow_conn.value()));
+    slow_ok = client.Historical(chain.hot_account, 1, chain.tip_height).ok();
+  });
+  AwaitInflight(1);
+  SpClient fast(std::move(fast_conn.value()));
+  const auto t0 = std::chrono::steady_clock::now();
+  auto r = fast.Historical(chain.hot_account, 1, chain.tip_height);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  slow.join();
+  ASSERT_TRUE(r.ok()) << r.message();
+  EXPECT_TRUE(slow_ok.load());
+  // Its own 300 ms service time, not the slow request's remainder on top.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(450));
+  server.Shutdown();
 }
 
 TEST(SvcTransportTest, LoopbackCallTimesOutOnSilentHandler) {

@@ -102,25 +102,28 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|VerifyTxSignatures|CertifyOnce'
-  # Svc matches SvcFaultTest/SvcTcpTest/SvcStatsTest; the obs suites cover
+  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|VerifyTxSignatures|CertifyOnce'
+  # Svc matches SvcFaultTest/SvcTcpTest/SvcStatsTest/SvcExecutionTest (the
+  # permit-bounded, on-transport-thread execution model); the obs suites cover
   # the concurrent counter/histogram/trace hammering. Fleet|ShardMap|
   # ShardServing run the router fan-out, scatter-gather fan-out threads, and
   # the pooled-connection paths — the fleet's concurrency lives there.
-  # CrashSoak includes the checkpointed seeded soak (crash sites inside
-  # rotation, compaction rename, and checkpoint seal); Checkpoint matches
-  # the ckpt format/store/issuer/SP-export suites. VerifyTxSignatures and
-  # CertifyOnce run the batched signature check across the shared pool.
+  # Superlight matches SuperlightTest (the IAS-binding case) and
+  # SuperlightBootstrap. CrashSoak includes the checkpointed seeded soak
+  # (crash sites inside rotation, compaction rename, and checkpoint seal);
+  # Checkpoint matches the ckpt format/store/issuer/SP-export suites.
+  # VerifyTxSignatures and CertifyOnce run the batched signature check
+  # across the shared pool.
 
 echo "=== [3/5] ASan build + serving/transport tests ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target \
   svc_test net_test thread_pool_test fleet_test obs_test record_log_test \
-  crash_recovery_test ckpt_test chaos_test common_test
+  crash_recovery_test ckpt_test chaos_test common_test dcert_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos'
+  -R 'Serialize|Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos'
   # Serialize covers the strict field decoders every wire codec sits on.
   # The checkpoint legs under ASan pin the mmap'd sealed-segment reads and
   # the serialize/deserialize buffer handling in the .dcp codec; the soak's
@@ -143,11 +146,12 @@ cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target \
   mbtree_test common_test dcert_test svc_test
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert'
+  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight'
   # Sha256BatchTest exercises every supported multi-buffer backend (AVX2
   # lane loads, SHA-NI interleaves); VerifyBatchTest covers the combined
   # verification equation; ArenaTest covers the placement-new pool.
   # Serialize and Svc run the field decoders and the reply codecs (query
-  # replies carry the tip) over truncated and padded frames.
+  # replies carry the tip) over truncated and padded frames. Superlight
+  # runs the IAS-signature binding over every flipped signature bit.
 
 echo "CI OK"
