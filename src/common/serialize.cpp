@@ -84,6 +84,14 @@ Bytes Decoder::Blob() {
   return Raw(n);
 }
 
+ByteView Decoder::BlobView() {
+  const std::uint32_t n = U32();
+  Need(n);
+  ByteView out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 std::string Decoder::Str() {
   Bytes b = Blob();
   return std::string(b.begin(), b.end());

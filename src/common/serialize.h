@@ -24,6 +24,7 @@ class Encoder {
  public:
   Encoder() = default;
 
+  void Reserve(std::size_t n) { buf_.reserve(n); }
   void U8(std::uint8_t v) { buf_.push_back(v); }
   void U16(std::uint16_t v);
   void U32(std::uint32_t v);
@@ -55,6 +56,8 @@ class Decoder {
   Bytes Raw(std::size_t n);
   Hash256 HashField();
   Bytes Blob();
+  /// Blob() without the copy: a view into the input, valid while it lives.
+  ByteView BlobView();
   std::string Str();
   /// Strict: only 0 and 1 decode, so every encoded bool has one byte form.
   bool Bool();

@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/serialize.h"
 #include "crypto/sha256.h"
 #include "dcert/superlight.h"
 
@@ -135,13 +134,8 @@ void FleetClient::Return(std::uint32_t shard, std::uint32_t replica,
 }
 
 Status FleetClient::ValidateTip(std::uint32_t shard, const svc::TipInfo& tip,
+                                const Hash256& key,
                                 const core::BlockCertificate** offending) {
-  Encoder enc;
-  enc.Blob(tip.header.Serialize());
-  enc.Blob(tip.block_cert.Serialize());
-  enc.HashField(tip.index_digest);
-  enc.Blob(tip.index_cert.Serialize());
-  const Hash256 key = crypto::Sha256::Digest(enc.bytes());
   {
     std::lock_guard<std::mutex> lk(tip_memo_mu_);
     const auto it = tip_memo_.find(shard);
@@ -239,6 +233,7 @@ Result<FleetClient::Slice> FleetClient::QueryReplica(
                                               sub.to_height);
   if (!reply.ok()) return benign(reply.status());
   const svc::TipInfo& tip = reply.value().tip;
+  const Hash256& tip_key = reply.value().tip_key;
   const query::HistoricalQueryProof& proof = reply.value().proof;
 
   // The reply carries the tip its proof was built at: certificates first
@@ -246,7 +241,7 @@ Result<FleetClient::Slice> FleetClient::QueryReplica(
   // digest on every subquery. A certified tip older than one seen before is
   // a replica behind on announcements — stale, not evidence.
   const core::BlockCertificate* offending = nullptr;
-  if (Status st = ValidateTip(sub.shard_id, tip, &offending); !st) {
+  if (Status st = ValidateTip(sub.shard_id, tip, tip_key, &offending); !st) {
     return misbehave(st, proof, offending);
   }
   Slice out;

@@ -12,13 +12,16 @@
 // The tip's certificates (block cert over the header, index cert binding the
 // digest, both from the pinned enclave measurement) are validated once per
 // distinct tip, as the superlight client of Alg. 3 does: a validated tip is
-// remembered by the SHA-256 of every byte the validation reads (header,
-// block cert, index digest, index cert), in a small per-shard ring shared by
-// every subquery, hedge and fan-out thread. Validation is a pure function of
-// those bytes (a fresh SuperlightClient holds no state, so chain selection
-// never applies), so a remembered tip is exactly one that would pass again;
-// any changed byte misses and is validated in full. Only tips that passed are
-// remembered. The proof is still verified per subquery.
+// remembered by its wire key (QueryReply::tip_key, the SHA-256 of the tip
+// field bytes every validated field was decoded from), in a small per-shard
+// ring shared by every subquery, hedge and fan-out thread. Validation is a
+// pure function of those bytes (a fresh SuperlightClient holds no state, so
+// chain selection never applies), so a remembered tip is exactly one that
+// would pass again; any changed byte misses and is validated in full. Only
+// tips that passed are remembered. A reply that names its tip by key (the
+// SP saw this connection's SpClient offer it) resolves to the TipInfo that
+// SpClient decoded under that key, so the memo answers for it too. The proof
+// is still verified per subquery.
 //
 // Failure handling per subquery:
 //  * transport faults / kBusy   — retried inside SpClient (PR 3 policy),
@@ -183,11 +186,13 @@ class FleetClient {
                                    std::uint32_t secondary, bool* stale,
                                    bool* used_secondary);
 
-  /// Validates a reply's tip: block and index certificates against the
-  /// pinned measurement, unless this exact tip already passed (see the
-  /// header comment). On failure returns the verdict and points *offending
-  /// at the certificate that failed; a failed tip is not remembered.
+  /// Validates a reply's tip, decoded from field bytes whose key is `key`:
+  /// block and index certificates against the pinned measurement, unless a
+  /// tip under this key already passed (see the header comment). On failure
+  /// returns the verdict and points *offending at the certificate that
+  /// failed; a failed tip is not remembered.
   Status ValidateTip(std::uint32_t shard, const svc::TipInfo& tip,
+                     const Hash256& key,
                      const core::BlockCertificate** offending);
 
   std::unique_ptr<svc::SpClient> Borrow(std::uint32_t shard,

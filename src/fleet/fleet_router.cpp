@@ -260,9 +260,8 @@ Bytes FleetRouter::Process(const Bytes& request) {
         errors_->Add(1);
         return svc::EncodeStatusReply(svc::Code::kError, q.status().message());
       }
-      auto subs =
-          map_.Split(q.value().account, q.value().from_height,
-                     q.value().to_height);
+      const svc::QueryRequest& query = q.value().query;
+      auto subs = map_.Split(query.account, query.from_height, query.to_height);
       if (subs.empty()) {
         errors_->Add(1);
         return svc::EncodeStatusReply(svc::Code::kError,

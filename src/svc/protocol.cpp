@@ -1,6 +1,7 @@
 #include "svc/protocol.h"
 
 #include "common/serialize.h"
+#include "crypto/sha256.h"
 
 namespace dcert::svc {
 
@@ -16,32 +17,44 @@ bool ValidOp(std::uint8_t op) {
 constexpr std::size_t kMaxStatsMetrics = 4096;
 constexpr std::size_t kMaxStatsBuckets = 8192;
 
-/// The TipInfo fields, shared by tip and query replies.
-void EncodeTipFields(Encoder& enc, const TipInfo& tip) {
-  enc.Blob(tip.header.Serialize());
-  enc.Blob(tip.block_cert.Serialize());
-  enc.HashField(tip.index_digest);
-  enc.Blob(tip.index_cert.Serialize());
+/// How a query reply carries its tip.
+enum class TipForm : std::uint8_t {
+  kFull = 0,         // the tip fields
+  kByReference = 1,  // the key of a tip the client offered
+};
+
+/// The tip fields as views into the input they were read from.
+struct TipFieldViews {
+  ByteView header;
+  ByteView block_cert;
+  Hash256 index_digest;
+  ByteView index_cert;
+};
+
+/// Reads the tip fields without copying; truncation throws DecodeError.
+TipFieldViews ReadTipFields(Decoder& dec) {
+  TipFieldViews v;
+  v.header = dec.BlobView();
+  v.block_cert = dec.BlobView();
+  v.index_digest = dec.HashField();
+  v.index_cert = dec.BlobView();
+  return v;
 }
 
-/// Reads what EncodeTipFields wrote. Truncation throws DecodeError; a field
-/// that does not deserialize comes back as an error.
-Result<TipInfo> DecodeTipFields(Decoder& dec) {
+/// Deserializes what ReadTipFields read; a field that does not deserialize
+/// comes back as an error.
+Result<TipInfo> DecodeTipFields(const TipFieldViews& v) {
   using R = Result<TipInfo>;
-  Bytes hdr_bytes = dec.Blob();
-  Bytes bcert_bytes = dec.Blob();
-  Hash256 digest = dec.HashField();
-  Bytes icert_bytes = dec.Blob();
-  auto hdr = chain::BlockHeader::Deserialize(hdr_bytes);
+  auto hdr = chain::BlockHeader::Deserialize(v.header);
   if (!hdr) return R(hdr.status());
-  auto bcert = core::BlockCertificate::Deserialize(bcert_bytes);
+  auto bcert = core::BlockCertificate::Deserialize(v.block_cert);
   if (!bcert) return R(bcert.status());
-  auto icert = core::IndexCertificate::Deserialize(icert_bytes);
+  auto icert = core::IndexCertificate::Deserialize(v.index_cert);
   if (!icert) return R(icert.status());
   TipInfo tip;
   tip.header = hdr.value();
   tip.block_cert = std::move(bcert.value());
-  tip.index_digest = digest;
+  tip.index_digest = v.index_digest;
   tip.index_cert = std::move(icert.value());
   return tip;
 }
@@ -76,12 +89,14 @@ Bytes EncodeShardScopedRequest(std::uint64_t map_version,
   return enc.Take();
 }
 
-Bytes EncodeQueryRequest(const QueryRequest& req) {
+Bytes EncodeQueryRequest(const QueryRequest& req,
+                         const std::optional<Hash256>& held_tip_key) {
   Encoder enc;
   enc.U8(static_cast<std::uint8_t>(req.op));
   enc.U64(req.account);
   enc.U64(req.from_height);
   enc.U64(req.to_height);
+  if (held_tip_key) enc.HashField(*held_tip_key);
   return enc.Take();
 }
 
@@ -102,11 +117,12 @@ Result<Op> PeekOp(ByteView frame) {
   return static_cast<Op>(frame[0]);
 }
 
-Result<QueryRequest> DecodeQueryRequest(ByteView frame) {
-  using R = Result<QueryRequest>;
+Result<QueryFrame> DecodeQueryRequest(ByteView frame) {
+  using R = Result<QueryFrame>;
   try {
     Decoder dec(frame);
-    QueryRequest req;
+    QueryFrame out;
+    QueryRequest& req = out.query;
     const std::uint8_t op = dec.U8();
     if (op != static_cast<std::uint8_t>(Op::kHistorical) &&
         op != static_cast<std::uint8_t>(Op::kAggregate)) {
@@ -116,8 +132,9 @@ Result<QueryRequest> DecodeQueryRequest(ByteView frame) {
     req.account = dec.U64();
     req.from_height = dec.U64();
     req.to_height = dec.U64();
+    if (!dec.AtEnd()) out.held_tip_key = dec.HashField();
     dec.ExpectEnd();
-    return req;
+    return out;
   } catch (const DecodeError& e) {
     return R::Error(std::string("query request: ") + e.what());
   }
@@ -180,19 +197,44 @@ Bytes EncodeStatusReply(Code code, const std::string& message) {
   return enc.Take();
 }
 
-Bytes EncodeTipReply(const TipInfo& tip) {
+Hash256 TipKey(ByteView fields) { return crypto::Sha256::Digest(fields); }
+
+EncodedTip EncodeTip(const TipInfo& tip) {
   Encoder enc;
+  enc.Blob(tip.header.Serialize());
+  enc.Blob(tip.block_cert.Serialize());
+  enc.HashField(tip.index_digest);
+  enc.Blob(tip.index_cert.Serialize());
+  EncodedTip out;
+  out.fields = enc.Take();
+  out.key = TipKey(out.fields);
+  return out;
+}
+
+Bytes EncodeTipReply(const EncodedTip& tip) {
+  Encoder enc;
+  enc.Reserve(1 + tip.fields.size());
   enc.U8(static_cast<std::uint8_t>(Code::kOk));
-  EncodeTipFields(enc, tip);
+  enc.Raw(tip.fields);
   return enc.Take();
 }
 
-Bytes EncodeQueryReply(const TipInfo& tip,
-                       const query::HistoricalQueryProof& proof) {
+Bytes AssembleQueryReply(const EncodedTip& tip,
+                         const std::optional<Hash256>& held_tip_key,
+                         ByteView proof) {
+  const bool by_reference = held_tip_key == tip.key;
   Encoder enc;
+  enc.Reserve(2 + (by_reference ? Hash256::kSize : tip.fields.size()) + 4 +
+              proof.size());
   enc.U8(static_cast<std::uint8_t>(Code::kOk));
-  EncodeTipFields(enc, tip);
-  enc.Blob(proof.Serialize());
+  if (by_reference) {
+    enc.U8(static_cast<std::uint8_t>(TipForm::kByReference));
+    enc.HashField(tip.key);
+  } else {
+    enc.U8(static_cast<std::uint8_t>(TipForm::kFull));
+    enc.Raw(tip.fields);
+  }
+  enc.Blob(proof);
   return enc.Take();
 }
 
@@ -248,25 +290,47 @@ Result<ReplyEnvelope> DecodeReplyEnvelope(ByteView frame) {
 Result<TipInfo> DecodeTipBody(ByteView body) {
   try {
     Decoder dec(body);
-    auto tip = DecodeTipFields(dec);
+    const TipFieldViews fields = ReadTipFields(dec);
     dec.ExpectEnd();
-    return tip;
+    return DecodeTipFields(fields);
   } catch (const DecodeError& e) {
     return Result<TipInfo>::Error(std::string("tip reply: ") + e.what());
   }
 }
 
-Result<QueryReply> DecodeQueryBody(ByteView body) {
+Result<QueryReply> DecodeQueryReply(ByteView body,
+                                    const std::optional<HeldTip>& held) {
   using R = Result<QueryReply>;
   try {
     Decoder dec(body);
-    auto tip = DecodeTipFields(dec);
-    Bytes proof_bytes = dec.Blob();
+    QueryReply out;
+    const std::uint8_t form = dec.U8();
+    std::optional<TipFieldViews> fields;
+    if (form == static_cast<std::uint8_t>(TipForm::kByReference)) {
+      out.tip_key = dec.HashField();
+    } else if (form == static_cast<std::uint8_t>(TipForm::kFull)) {
+      const std::size_t start = body.size() - dec.Remaining();
+      fields = ReadTipFields(dec);
+      out.tip_key = TipKey(body.subspan(start, body.size() - dec.Remaining() -
+                                                   start));
+    } else {
+      return R::Error("query reply: unknown tip form");
+    }
+    const ByteView proof_bytes = dec.BlobView();
     dec.ExpectEnd();
-    if (!tip) return R(tip.status());
+    if (held && out.tip_key == held->key) {
+      out.tip = held->tip;
+    } else if (fields) {
+      auto tip = DecodeTipFields(*fields);
+      if (!tip) return R(tip.status());
+      out.tip = tip.value();
+    } else {
+      return R::Error("query reply: names a tip the client does not hold");
+    }
     auto proof = query::HistoricalQueryProof::Deserialize(proof_bytes);
     if (!proof) return R(proof.status());
-    return QueryReply{std::move(tip.value()), std::move(proof.value())};
+    out.proof = std::move(proof.value());
+    return out;
   } catch (const DecodeError& e) {
     return R::Error(std::string("query reply: ") + e.what());
   }

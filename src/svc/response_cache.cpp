@@ -59,23 +59,23 @@ std::optional<Bytes> ResponseCache::Lookup(const Hash256& key) {
   return it->second->second;
 }
 
-void ResponseCache::Insert(const Hash256& key, Bytes reply) {
-  if (reply.size() > shard_budget_) return;  // would evict the whole shard
+void ResponseCache::Insert(const Hash256& key, Bytes payload) {
+  const std::size_t size = Charge(payload);
+  if (size > shard_budget_) return;  // would evict the whole shard
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
   auto it = shard.map.find(key);
-  if (it != shard.map.end()) {  // racing miss computed the same reply
+  if (it != shard.map.end()) {  // racing miss computed the same payload
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  const std::size_t size = reply.size();
-  shard.lru.emplace_front(key, std::move(reply));
+  shard.lru.emplace_front(key, std::move(payload));
   shard.map[key] = shard.lru.begin();
   shard.bytes += size;
   bytes_->Add(static_cast<std::int64_t>(size));
   // The front entry fits the budget on its own, so this stops before it.
   while (shard.bytes > shard_budget_) {
-    const std::size_t victim = shard.lru.back().second.size();
+    const std::size_t victim = Charge(shard.lru.back().second);
     shard.map.erase(shard.lru.back().first);
     shard.lru.pop_back();
     shard.bytes -= victim;

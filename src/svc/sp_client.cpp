@@ -166,15 +166,16 @@ Result<Bytes> SpClient::Roundtrip(const Bytes& request,
 }
 
 Result<TipInfo> SpClient::FetchTip() {
-  std::optional<TipInfo> tip;
-  auto body = Roundtrip(EncodeTipFetchRequest(), [&tip](const Bytes& b) {
+  std::optional<HeldTip> fetched;
+  auto body = Roundtrip(EncodeTipFetchRequest(), [&fetched](const Bytes& b) {
     auto decoded = DecodeTipBody(b);
     if (!decoded.ok()) return decoded.status();
-    tip = std::move(decoded.value());
+    fetched = HeldTip{TipKey(b), std::move(decoded.value())};
     return Status::Ok();
   });
   if (!body.ok()) return Result<TipInfo>(body.status());
-  return std::move(*tip);
+  held_tip_ = std::move(fetched);
+  return held_tip_->tip;
 }
 
 Result<obs::MetricsSnapshot> SpClient::FetchStats() {
@@ -213,46 +214,53 @@ Result<Bytes> SpClient::FetchShardMap() {
   return std::move(*map);
 }
 
-Result<SpClient::QueryResult> SpClient::Query(const Bytes& request) {
+Result<SpClient::QueryResult> SpClient::Query(
+    const QueryRequest& q, const std::optional<ShardScope>& scope) {
+  Bytes request = EncodeQueryRequest(
+      q, held_tip_ ? std::optional<Hash256>(held_tip_->key) : std::nullopt);
+  if (scope) {
+    request = EncodeShardScopedRequest(scope->first, scope->second, request);
+  }
   std::optional<QueryResult> out;
-  auto body = Roundtrip(request, [&out](const Bytes& b) {
-    auto decoded = DecodeQueryBody(b);
+  auto body = Roundtrip(request, [this, &out](const Bytes& b) {
+    auto decoded = DecodeQueryReply(b, held_tip_);
     if (!decoded.ok()) return decoded.status();
     out = std::move(decoded.value());
     return Status::Ok();
   });
   if (!body.ok()) return Result<QueryResult>(body.status());
+  if (!held_tip_ || held_tip_->key != out->tip_key) {
+    held_tip_ = HeldTip{out->tip_key, out->tip};
+  }
   return std::move(*out);
 }
 
 Result<SpClient::QueryResult> SpClient::Historical(std::uint64_t account,
                                                    std::uint64_t from_height,
                                                    std::uint64_t to_height) {
-  return Query(EncodeQueryRequest(
-      {Op::kHistorical, account, from_height, to_height}));
+  return Query({Op::kHistorical, account, from_height, to_height},
+               std::nullopt);
 }
 
 Result<SpClient::QueryResult> SpClient::Aggregate(std::uint64_t account,
                                                   std::uint64_t from_height,
                                                   std::uint64_t to_height) {
-  return Query(EncodeQueryRequest(
-      {Op::kAggregate, account, from_height, to_height}));
+  return Query({Op::kAggregate, account, from_height, to_height},
+               std::nullopt);
 }
 
 Result<SpClient::QueryResult> SpClient::HistoricalSharded(
     std::uint64_t map_version, std::uint32_t shard_id, std::uint64_t account,
     std::uint64_t from_height, std::uint64_t to_height) {
-  return Query(EncodeShardScopedRequest(
-      map_version, shard_id,
-      EncodeQueryRequest({Op::kHistorical, account, from_height, to_height})));
+  return Query({Op::kHistorical, account, from_height, to_height},
+               ShardScope{map_version, shard_id});
 }
 
 Result<SpClient::QueryResult> SpClient::AggregateSharded(
     std::uint64_t map_version, std::uint32_t shard_id, std::uint64_t account,
     std::uint64_t from_height, std::uint64_t to_height) {
-  return Query(EncodeShardScopedRequest(
-      map_version, shard_id,
-      EncodeQueryRequest({Op::kAggregate, account, from_height, to_height})));
+  return Query({Op::kAggregate, account, from_height, to_height},
+               ShardScope{map_version, shard_id});
 }
 
 Result<std::uint64_t> SpClient::Announce(const AnnounceRequest& req) {

@@ -5,6 +5,13 @@
 // caller via the existing HistoricalIndex::VerifyQuery / SuperlightClient
 // checks — the transport and the SP are untrusted.
 //
+// The client holds the last tip a tip fetch or query reply delivered (its
+// key and decoded TipInfo) and offers the key with every query, so a server
+// at the same tip answers with the key instead of the tip fields. A reply
+// naming a key this client did not offer is garbled (retried, never
+// returned). Holding a tip trusts nothing: callers validate every returned
+// tip, keyed by QueryReply::tip_key.
+//
 // Retry policy: a logical call may span several attempts. Transient failures
 // — kBusy shedding, transport timeouts, broken/refused connections, and
 // replies too garbled to decode — back off exponentially (with seeded
@@ -18,6 +25,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "common/rng.h"
 #include "svc/protocol.h"
@@ -121,8 +130,12 @@ class SpClient {
   /// marks the reply garbled, which is a retryable transport-level fault.
   using BodyDecoder = std::function<Status(const Bytes& body)>;
 
-  /// One query call; `request` is a plain or shard-scoped query frame.
-  Result<QueryResult> Query(const Bytes& request);
+  /// A shard-scoped query's (map_version, shard_id).
+  using ShardScope = std::pair<std::uint64_t, std::uint32_t>;
+  /// One query call, offering the held tip's key; `scope` wraps the frame
+  /// in a shard-scoped envelope. A decoded reply's tip becomes the held tip.
+  Result<QueryResult> Query(const QueryRequest& q,
+                            const std::optional<ShardScope>& scope);
   /// One logical call: attempt/backoff/reconnect loop around the transport.
   Result<Bytes> Roundtrip(const Bytes& request, const BodyDecoder& decode_body);
   /// Ensures conn_ is live, dialing through connector_ if present.
@@ -136,6 +149,7 @@ class SpClient {
   bool last_busy_ = false;
   bool last_stale_shard_ = false;
   bool ever_connected_ = false;
+  std::optional<HeldTip> held_tip_;
 };
 
 }  // namespace dcert::svc

@@ -229,7 +229,7 @@ Bytes SpServer::ProcessTipFetch() {
     return EncodeStatusReply(Code::kError, "no certified tip yet");
   }
   served_->Add(1);
-  return EncodeTipReply(*tip_);
+  return EncodeTipReply(tip_wire_);
 }
 
 Bytes SpServer::ProcessQuery(const Bytes& frame) {
@@ -238,7 +238,7 @@ Bytes SpServer::ProcessQuery(const Bytes& frame) {
     errors_->Add(1);
     return EncodeStatusReply(Code::kError, decoded.message());
   }
-  const QueryRequest& req = decoded.value();
+  const QueryRequest& req = decoded.value().query;
   // A sharded server serves only what it owns, plain (router-forwarded) or
   // shard-scoped; the rejection is retryable because the client's routing
   // data, not the query, is what's wrong.
@@ -255,6 +255,7 @@ Bytes SpServer::ProcessQuery(const Bytes& frame) {
   const bool historical = req.op == Op::kHistorical;
   obs::TraceSpan span(historical ? "svc.historical" : "svc.aggregate",
                       historical ? lat_historical_ns_ : lat_aggregate_ns_);
+  const std::optional<Hash256>& held_tip_key = decoded.value().held_tip_key;
   // Shared lock spans the tip read and the proof build, so the tip carried
   // in the reply is always the one the proof was built against.
   std::shared_lock<std::shared_mutex> lk(state_mu_);
@@ -268,17 +269,23 @@ Bytes SpServer::ProcessQuery(const Bytes& frame) {
                              req.to_height, tip_->header.height);
     if (auto hit = cache_.Lookup(key)) {
       served_->Add(1);
-      return std::move(*hit);
+      return AssembleQueryReply(tip_wire_, held_tip_key, *hit);
     }
   }
-  query::HistoricalQueryProof proof =
-      historical
-          ? index_.Query(req.account, req.from_height, req.to_height)
-          : index_.AggregateQuery(req.account, req.from_height, req.to_height);
-  Bytes reply = EncodeQueryReply(*tip_, proof);
-  if (config_.enable_cache) cache_.Insert(key, reply);
+  Bytes proof =
+      (historical
+           ? index_.Query(req.account, req.from_height, req.to_height)
+           : index_.AggregateQuery(req.account, req.from_height, req.to_height))
+          .Serialize();
+  Bytes reply = AssembleQueryReply(tip_wire_, held_tip_key, proof);
+  if (config_.enable_cache) cache_.Insert(key, std::move(proof));
   served_->Add(1);
   return reply;
+}
+
+void SpServer::SetTipLocked(TipInfo tip) {
+  tip_wire_ = EncodeTip(tip);
+  tip_ = std::move(tip);
 }
 
 Status SpServer::Announce(const AnnounceRequest& req) {
@@ -367,7 +374,7 @@ Status SpServer::RehydrateRange(const chain::BlockStore& blocks,
       // H(header || index digest)) — fail-safe until the next live
       // announcement brings a real index certificate.
       tip.index_cert = cert;
-      tip_ = std::move(tip);
+      SetTipLocked(std::move(tip));
       ++next_height_;
       blocks_applied_->Add(1);
       prev_hdr = hdr;
@@ -406,7 +413,7 @@ Status SpServer::RestoreFromCheckpointLocked(const ckpt::Checkpoint& ck) {
   // placeholder per replayed block: a stale index cert cannot cover an
   // advanced index.
   tip.index_cert = ck.has_index_cert ? ck.index_cert : ck.block_cert;
-  tip_ = std::move(tip);
+  SetTipLocked(std::move(tip));
   next_height_ = ck.height + 1;
   blocks_applied_->Add(1);  // the checkpoint stands in for its whole prefix
   return Status::Ok();
@@ -562,7 +569,7 @@ Status SpServer::AnnounceLocked(const AnnounceRequest& req) {
     tip.block_cert = r.block_cert;
     tip.index_digest = r.index_digest;
     tip.index_cert = r.index_cert;
-    tip_ = std::move(tip);
+    SetTipLocked(std::move(tip));
     pending_.erase(it);
     ++next_height_;
     blocks_applied_->Add(1);

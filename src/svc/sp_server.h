@@ -5,9 +5,11 @@
 // server maintains its own live HistoricalIndex from announced blocks
 // (validating the CI's block and index certificates exactly as a superlight
 // client would, so a tampered announcement never enters the index), serves
-// authenticated proofs under a reader/writer lock, and caches encoded replies
-// in a byte-bounded sharded LRU keyed by (query, tip height) that is flushed
-// whenever a new certified block lands.
+// authenticated proofs under a reader/writer lock, and caches serialized
+// proofs in a byte-bounded sharded LRU keyed by (query, tip height) that is
+// flushed whenever a new certified block lands. The certified tip is encoded
+// once when it changes; each query reply is assembled from those tip bytes
+// (or only their key, when the client already holds the tip) and the proof.
 //
 // Admission control: at most `max_queue` requests may be admitted (waiting
 // or executing) at once, beyond that kBusy is replied at once (load
@@ -42,11 +44,12 @@ struct SpServerConfig {
   std::size_t workers = 4;
   /// Admitted-request bound (waiting + executing); above it requests shed.
   std::size_t max_queue = 64;
-  /// Reply cache: `cache_capacity_bytes` of encoded reply frames in total,
-  /// split evenly across `cache_shards` lock shards. Each shard LRU-evicts
-  /// down to its share, and a reply larger than one share is not cached,
-  /// so the cache never holds more than the budget however fast clients
-  /// fill it between announcements.
+  /// Reply cache: `cache_capacity_bytes` of serialized proofs in total, each
+  /// charged its allocation plus per-entry bookkeeping, split evenly across
+  /// `cache_shards` lock shards. Each shard LRU-evicts down to its share,
+  /// and an entry larger than one share is not cached, so the cache never
+  /// holds more than the budget however fast clients fill it between
+  /// announcements.
   bool enable_cache = true;
   std::size_t cache_shards = 8;
   std::size_t cache_capacity_bytes = std::size_t{1} << 20;
@@ -158,6 +161,10 @@ class SpServer {
   /// Applies announcements contiguously (out-of-order ones wait in
   /// pending_); caller must hold state_mu_ exclusively.
   Status AnnounceLocked(const AnnounceRequest& req);
+  /// Installs `tip` as the certified tip and encodes it once for every reply
+  /// that carries it; the only writer of tip_. Caller must hold state_mu_
+  /// exclusively.
+  void SetTipLocked(TipInfo tip);
   /// Chunk-batched certificate validation + index apply of stored blocks
   /// [from, blocks.Count()); caller must hold state_mu_ exclusively and
   /// have next_height_ == from with `prev_hdr` the header at from - 1.
@@ -188,6 +195,7 @@ class SpServer {
   query::HistoricalIndex index_;
   std::map<std::uint64_t, AnnounceRequest> pending_;  // by height
   std::optional<TipInfo> tip_;
+  EncodedTip tip_wire_;  // EncodeTip(*tip_), set with it
   std::uint64_t next_height_ = 1;
 
   // Instance-owned registry-backed metrics (monotonic, read via Stats());

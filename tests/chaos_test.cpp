@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -111,7 +112,8 @@ ShardMap MustCreate(const ShardMapConfig& cfg) {
 /// their carried tip header inflated, so the reply still parses but the
 /// replica is provably claiming a tip it cannot certify (the block
 /// certificate no longer signs the header => misbehavior, not a benign
-/// fault).
+/// fault). Queries go out without the client's tip key, so every reply
+/// carries the full tip to rewrite.
 class TamperTransport final : public svc::ClientTransport {
  public:
   TamperTransport(std::unique_ptr<svc::ClientTransport> inner,
@@ -121,16 +123,25 @@ class TamperTransport final : public svc::ClientTransport {
   using svc::ClientTransport::Call;
   Result<Bytes> Call(ByteView request,
                      std::chrono::milliseconds deadline) override {
-    auto reply = inner_->Call(request, deadline);
+    auto scoped = svc::DecodeShardScopedRequest(request);
+    if (!scoped.ok()) return inner_->Call(request, deadline);
+    auto query = svc::DecodeQueryRequest(scoped.value().inner);
+    if (!query.ok()) return inner_->Call(request, deadline);
+    auto reply = inner_->Call(
+        svc::EncodeShardScopedRequest(
+            scoped.value().map_version, scoped.value().shard_id,
+            svc::EncodeQueryRequest(query.value().query)),
+        deadline);
     if (!reply.ok()) return reply;
     auto env = svc::DecodeReplyEnvelope(reply.value());
     if (!env.ok() || env.value().code != svc::Code::kOk) return reply;
-    auto body = svc::DecodeQueryBody(env.value().body);
-    if (!body.ok()) return reply;  // tip/stats/map replies pass untouched
+    auto body = svc::DecodeQueryReply(env.value().body, std::nullopt);
+    if (!body.ok()) return reply;
     tampered_->fetch_add(1);
     body.value().tip.header.height += 1000;
-    return Result<Bytes>(
-        svc::EncodeQueryReply(body.value().tip, body.value().proof));
+    return Result<Bytes>(svc::AssembleQueryReply(
+        svc::EncodeTip(body.value().tip), std::nullopt,
+        body.value().proof.Serialize()));
   }
 
  private:

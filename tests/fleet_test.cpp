@@ -9,7 +9,8 @@
 // continuous announcements), the paranoid cross-check catching a
 // divergent (lagging) replica, and the verified-tip memo (each distinct tip
 // validated once; a tampered tip or forged proof rejected even after an
-// honest tip of the same height is remembered).
+// honest tip of the same height is remembered, and a reply naming the
+// client's tip by key with a proof from another tip caught as evidence).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -166,11 +168,20 @@ struct LiveFleet {
 
 /// Rewrites the tip or the proof inside one connection's decoded query
 /// replies in flight and re-encodes them, so the frames still parse and only
-/// verification can catch the lie. The test sets the hooks between queries.
+/// verification can catch the lie. While a hook is set the request's offered
+/// tip key is dropped, so the replica answers with the full tip for the hook
+/// to rewrite. The test sets the hooks between queries.
 struct ReplyTamper {
   std::function<void(svc::TipInfo&)> tip;
   std::function<void(query::HistoricalQueryProof&)> proof;
 };
+
+/// The shard-scoped query `scoped` as a frame that offers no tip key.
+Bytes WithoutTipKey(const svc::ShardScopedRequest& scoped,
+                    const svc::QueryRequest& query) {
+  return svc::EncodeShardScopedRequest(scoped.map_version, scoped.shard_id,
+                                       svc::EncodeQueryRequest(query));
+}
 
 class TamperingTransport final : public svc::ClientTransport {
  public:
@@ -180,26 +191,67 @@ class TamperingTransport final : public svc::ClientTransport {
 
   Result<Bytes> Call(ByteView request,
                      std::chrono::milliseconds deadline) override {
-    auto reply = inner_->Call(request, deadline);
-    if (!reply.ok()) return reply;
+    if (!tamper_->tip && !tamper_->proof) return inner_->Call(request, deadline);
     auto scoped = svc::DecodeShardScopedRequest(request);
-    if (!scoped.ok()) return reply;
-    auto op = svc::PeekOp(scoped.value().inner);
-    auto env = svc::DecodeReplyEnvelope(reply.value());
-    if (!op.ok() || op.value() != svc::Op::kHistorical || !env.ok() ||
-        env.value().code != svc::Code::kOk) {
-      return reply;
+    if (!scoped.ok()) return inner_->Call(request, deadline);
+    auto query = svc::DecodeQueryRequest(scoped.value().inner);
+    if (!query.ok() || query.value().query.op != svc::Op::kHistorical) {
+      return inner_->Call(request, deadline);
     }
-    auto body = svc::DecodeQueryBody(env.value().body);
+    auto reply = inner_->Call(
+        WithoutTipKey(scoped.value(), query.value().query), deadline);
+    if (!reply.ok()) return reply;
+    auto env = svc::DecodeReplyEnvelope(reply.value());
+    if (!env.ok() || env.value().code != svc::Code::kOk) return reply;
+    auto body = svc::DecodeQueryReply(env.value().body, std::nullopt);
     if (!body.ok()) return reply;
     if (tamper_->tip) tamper_->tip(body.value().tip);
     if (tamper_->proof) tamper_->proof(body.value().proof);
-    return svc::EncodeQueryReply(body.value().tip, body.value().proof);
+    return svc::AssembleQueryReply(svc::EncodeTip(body.value().tip),
+                                   std::nullopt,
+                                   body.value().proof.Serialize());
   }
 
  private:
   std::unique_ptr<svc::ClientTransport> inner_;
   const ReplyTamper* tamper_;
+};
+
+/// A replica that lies by reference: while `lie` is set, a query offering a
+/// tip key is answered with that key (the client's own tip) but with the
+/// proof `other` builds, at its own, different tip.
+class ByReferenceLiar final : public svc::ClientTransport {
+ public:
+  ByReferenceLiar(std::unique_ptr<svc::ClientTransport> honest,
+                  std::unique_ptr<svc::ClientTransport> other,
+                  const std::atomic<bool>* lie)
+      : honest_(std::move(honest)), other_(std::move(other)), lie_(lie) {}
+
+  Result<Bytes> Call(ByteView request,
+                     std::chrono::milliseconds deadline) override {
+    if (!lie_->load()) return honest_->Call(request, deadline);
+    auto scoped = svc::DecodeShardScopedRequest(request);
+    if (!scoped.ok()) return honest_->Call(request, deadline);
+    auto query = svc::DecodeQueryRequest(scoped.value().inner);
+    if (!query.ok() || !query.value().held_tip_key) {
+      return honest_->Call(request, deadline);
+    }
+    auto reply = other_->Call(
+        WithoutTipKey(scoped.value(), query.value().query), deadline);
+    if (!reply.ok()) return reply;
+    auto env = svc::DecodeReplyEnvelope(reply.value());
+    if (!env.ok() || env.value().code != svc::Code::kOk) return reply;
+    auto body = svc::DecodeQueryReply(env.value().body, std::nullopt);
+    if (!body.ok()) return reply;
+    const Hash256& key = *query.value().held_tip_key;
+    return svc::AssembleQueryReply(svc::EncodedTip{{}, key}, key,
+                                   body.value().proof.Serialize());
+  }
+
+ private:
+  std::unique_ptr<svc::ClientTransport> honest_;
+  std::unique_ptr<svc::ClientTransport> other_;
+  const std::atomic<bool>* lie_;
 };
 
 FleetClient::BackendConnector TamperingConnector(LiveFleet& fleet,
@@ -966,6 +1018,51 @@ TEST(FleetClientTest, CorruptedIndexCertIasSignatureRejected) {
   ASSERT_EQ(evidence.size(), 1u);
   EXPECT_NE(evidence[0].verdict.find("index cert"), std::string::npos)
       << evidence[0].verdict;
+}
+
+TEST(FleetClientTest, ByReferenceReplyWithProofFromAnotherTipIsEvidence) {
+  // The client holds and has validated the replica's tip. The replica then
+  // names that tip by its key but ships a proof built one block earlier:
+  // the client verifies the proof against the tip it validated under the
+  // key, so the lie is caught as misbehavior, not taken as a stale reply.
+  const auto& chain = Chain();
+  LiveFleet fleet(ShardMapConfig{});
+  LiveFleet behind(ShardMapConfig{}, 0, chain,
+                   chain.announcements.size() - 1);
+  std::atomic<bool> lie{false};
+  FleetClient client(
+      fleet.map,
+      [&fleet, &behind, &lie](std::uint32_t, std::uint32_t) -> svc::Connector {
+        return [&fleet, &behind, &lie] {
+          return Result<std::unique_ptr<svc::ClientTransport>>(
+              std::make_unique<ByReferenceLiar>(
+                  fleet.transports[0][0]->Connect(),
+                  behind.transports[0][0]->Connect(), &lie));
+        };
+      });
+  auto honest = client.Historical(chain.hot_account, 1, chain.tip_height);
+  ASSERT_TRUE(honest.ok()) << honest.message();
+  ASSERT_EQ(client.Stats().tip_validations, 1u);
+
+  lie = true;
+  auto got = client.Historical(chain.hot_account, 1, chain.tip_height);
+  EXPECT_FALSE(got.ok());
+  EXPECT_EQ(client.Stats().verify_failures, 1u);
+  EXPECT_EQ(client.Stats().tip_validations, 1u);  // the held tip, memoized
+  EXPECT_TRUE(client.Health()->Quarantined(0));
+  const auto evidence = client.Health()->Evidence();
+  ASSERT_EQ(evidence.size(), 1u);
+  EXPECT_NE(evidence[0].verdict.find("query proof"), std::string::npos)
+      << evidence[0].verdict;
+
+  // Told the truth again (by reference, the same held tip), the released
+  // replica's answer verifies.
+  lie = false;
+  client.Health()->Release(0);
+  auto again = client.Historical(chain.hot_account, 1, chain.tip_height);
+  ASSERT_TRUE(again.ok()) << again.message();
+  EXPECT_EQ(again.value(), honest.value());
+  EXPECT_EQ(client.Stats().verify_failures, 1u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -127,9 +128,13 @@ Hash256 TrustedDigest(SpClient& client) {
   return digest.ok() ? digest.value() : Hash256{};
 }
 
+/// What the reply cache charges each entry on top of its payload.
+constexpr std::size_t kEntryOverhead = ResponseCache::kEntryOverheadBytes;
+
 TEST(SvcResponseCacheTest, HitsMissesEvictionsInvalidations) {
-  // Two shards of two bytes each: room for two one-byte replies per shard.
-  ResponseCache cache(/*shards=*/2, /*capacity_bytes=*/4);
+  // Two shards, each with room for two one-byte replies.
+  ResponseCache cache(/*shards=*/2,
+                      /*capacity_bytes=*/4 * (1 + kEntryOverhead));
   const Hash256 k1 = ResponseCache::Key(Op::kHistorical, 1, 1, 10, 10);
   const Hash256 k2 = ResponseCache::Key(Op::kHistorical, 2, 1, 10, 10);
   EXPECT_NE(k1, k2);
@@ -156,52 +161,59 @@ TEST(SvcResponseCacheTest, HitsMissesEvictionsInvalidations) {
 }
 
 TEST(SvcResponseCacheTest, EvictsLeastRecentlyUsedByBytes) {
-  // One shard with a 10-byte budget: entries are charged their reply size.
-  ResponseCache cache(/*shards=*/1, /*capacity_bytes=*/10);
+  // One shard with room for 10 reply bytes in two entries: each entry is
+  // charged its reply size plus kEntryOverhead.
+  ResponseCache cache(/*shards=*/1,
+                      /*capacity_bytes=*/10 + 2 * kEntryOverhead);
   const auto key = [](std::uint64_t a) {
     return ResponseCache::Key(Op::kHistorical, a, 1, 10, 10);
   };
   cache.Insert(key(1), Bytes(4, 0x01));
   cache.Insert(key(2), Bytes(4, 0x02));
-  EXPECT_EQ(cache.Stats().bytes, 8u);
+  EXPECT_EQ(cache.Stats().bytes, 2 * (4 + kEntryOverhead));
   EXPECT_EQ(cache.Stats().evictions, 0u);
   ASSERT_TRUE(cache.Lookup(key(1)).has_value());  // key 2 is now the LRU
 
-  // 8 + 4 > 10: key 2 goes, key 1 (recently used) and key 3 stay.
+  // Three entries overrun the share: key 2 goes, key 1 (recently used) and
+  // key 3 stay.
   cache.Insert(key(3), Bytes(4, 0x03));
-  EXPECT_EQ(cache.Stats().bytes, 8u);
+  EXPECT_EQ(cache.Stats().bytes, 2 * (4 + kEntryOverhead));
   EXPECT_EQ(cache.Stats().evictions, 1u);
   EXPECT_FALSE(cache.Lookup(key(2)).has_value());
   EXPECT_TRUE(cache.Lookup(key(1)).has_value());
   EXPECT_TRUE(cache.Lookup(key(3)).has_value());
 
-  // A reply as large as the whole share evicts everything else.
-  cache.Insert(key(4), Bytes(10, 0x04));
-  EXPECT_EQ(cache.Stats().bytes, 10u);
+  // A reply charged the whole share evicts everything else.
+  cache.Insert(key(4), Bytes(10 + kEntryOverhead, 0x04));
+  EXPECT_EQ(cache.Stats().bytes, 10 + 2 * kEntryOverhead);
   EXPECT_EQ(cache.Stats().evictions, 3u);
   EXPECT_TRUE(cache.Lookup(key(4)).has_value());
 }
 
 TEST(SvcResponseCacheTest, OversizeReplyIsNotCached) {
-  // Two shards of 8 bytes: a 9-byte reply exceeds a shard's share.
-  ResponseCache cache(/*shards=*/2, /*capacity_bytes=*/16);
+  // Two shards with room for one 8-byte reply each: a 9-byte reply exceeds
+  // a shard's share.
+  ResponseCache cache(/*shards=*/2,
+                      /*capacity_bytes=*/2 * (8 + kEntryOverhead));
   const Hash256 small = ResponseCache::Key(Op::kHistorical, 1, 1, 10, 10);
   const Hash256 big = ResponseCache::Key(Op::kHistorical, 2, 1, 10, 10);
   cache.Insert(small, Bytes(8, 0x01));
   cache.Insert(big, Bytes(9, 0x02));
   EXPECT_FALSE(cache.Lookup(big).has_value());
   EXPECT_TRUE(cache.Lookup(small).has_value());  // nothing was evicted for it
-  EXPECT_EQ(cache.Stats().bytes, 8u);
+  EXPECT_EQ(cache.Stats().bytes, 8 + kEntryOverhead);
   EXPECT_EQ(cache.Stats().evictions, 0u);
 }
 
 TEST(SvcResponseCacheTest, InvalidateAllResetsBytes) {
-  ResponseCache cache(/*shards=*/4, /*capacity_bytes=*/4096);
+  // Every shard has room for all 32 entries: nothing is evicted.
+  ResponseCache cache(/*shards=*/4,
+                      /*capacity_bytes=*/4 * 32 * (16 + kEntryOverhead));
   for (std::uint64_t a = 0; a < 32; ++a) {
     cache.Insert(ResponseCache::Key(Op::kAggregate, a, 1, 10, 10),
                  Bytes(16, 0xab));
   }
-  EXPECT_EQ(cache.Stats().bytes, 32u * 16u);
+  EXPECT_EQ(cache.Stats().bytes, 32 * (16 + kEntryOverhead));
   cache.InvalidateAll();
   EXPECT_EQ(cache.Stats().bytes, 0u);
   // The registered gauge follows the same accounting.
@@ -210,10 +222,10 @@ TEST(SvcResponseCacheTest, InvalidateAllResetsBytes) {
   EXPECT_EQ(snap.gauges.at("svc.cache.bytes"), 0);
   cache.Insert(ResponseCache::Key(Op::kAggregate, 99, 1, 10, 10),
                Bytes(5, 0xcd));
-  EXPECT_EQ(cache.Stats().bytes, 5u);
+  EXPECT_EQ(cache.Stats().bytes, 5 + kEntryOverhead);
   EXPECT_EQ(obs::MetricsRegistry::Global().Snapshot().gauges.at(
                 "svc.cache.bytes"),
-            5);
+            static_cast<std::int64_t>(5 + kEntryOverhead));
 }
 
 TEST(SvcResponseCacheTest, RacingReinsertKeepsByteAccountingExact) {
@@ -221,7 +233,8 @@ TEST(SvcResponseCacheTest, RacingReinsertKeepsByteAccountingExact) {
   // sizes (a re-insert of a cached key keeps the cached reply); afterwards
   // the byte count must equal the sum of what is actually cached.
   constexpr std::uint64_t kKeys = 6;
-  ResponseCache cache(/*shards=*/2, /*capacity_bytes=*/64);
+  constexpr std::size_t kBudget = 2 * (32 + 2 * kEntryOverhead);
+  ResponseCache cache(/*shards=*/2, kBudget);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&cache, t] {
@@ -237,12 +250,111 @@ TEST(SvcResponseCacheTest, RacingReinsertKeepsByteAccountingExact) {
   std::uint64_t cached = 0;
   for (std::uint64_t a = 0; a < kKeys; ++a) {
     auto hit = cache.Lookup(ResponseCache::Key(Op::kHistorical, a, 1, 10, 10));
-    if (hit) cached += hit->size();
+    if (hit) cached += hit->size() + kEntryOverhead;
   }
   EXPECT_EQ(cache.Stats().bytes, cached);
-  EXPECT_LE(cache.Stats().bytes, 64u);
+  EXPECT_LE(cache.Stats().bytes, kBudget);
   cache.InvalidateAll();
   EXPECT_EQ(cache.Stats().bytes, 0u);
+}
+
+TEST(SvcResponseCacheTest, TinyEntriesStayWithinBudgetIncludingOverhead) {
+  // Each entry is charged its payload's allocation plus the list node, map
+  // node and key it costs, so a flood of one-byte payloads holds no more
+  // entries than the budget pays for, and the charge adds up exactly.
+  constexpr std::size_t kBudget = 64 * 1024;
+  constexpr std::uint64_t kInserts = 10000;
+  ResponseCache cache(/*shards=*/4, kBudget);
+  const std::size_t charge = 1 + ResponseCache::kEntryOverheadBytes;
+  EXPECT_GT(ResponseCache::kEntryOverheadBytes, 2 * sizeof(Hash256));
+  for (std::uint64_t a = 0; a < kInserts; ++a) {
+    cache.Insert(ResponseCache::Key(Op::kHistorical, a, 1, 10, 10),
+                 Bytes{0x01});
+  }
+  const CacheStats stats = cache.Stats();
+  std::uint64_t held = 0;
+  for (std::uint64_t a = 0; a < kInserts; ++a) {
+    if (cache.Lookup(ResponseCache::Key(Op::kHistorical, a, 1, 10, 10))) {
+      ++held;
+    }
+  }
+  EXPECT_GT(held, 0u);
+  EXPECT_LE(held, kBudget / charge);
+  EXPECT_EQ(stats.bytes, held * charge);
+  EXPECT_LE(stats.bytes, kBudget);
+  EXPECT_EQ(stats.evictions, kInserts - held);
+}
+
+/// Sends each call down whichever of two connections `*use_b` selects and
+/// keeps the last reply frame.
+class SwitchingTransport final : public ClientTransport {
+ public:
+  SwitchingTransport(std::unique_ptr<ClientTransport> a,
+                     std::unique_ptr<ClientTransport> b, const bool* use_b,
+                     Bytes* last_reply)
+      : a_(std::move(a)), b_(std::move(b)), use_b_(use_b),
+        last_reply_(last_reply) {}
+
+  using ClientTransport::Call;
+  Result<Bytes> Call(ByteView request,
+                     std::chrono::milliseconds deadline) override {
+    auto reply = (*use_b_ ? b_ : a_)->Call(request, deadline);
+    if (reply.ok()) *last_reply_ = reply.value();
+    return reply;
+  }
+
+ private:
+  std::unique_ptr<ClientTransport> a_;
+  std::unique_ptr<ClientTransport> b_;
+  const bool* use_b_;
+  Bytes* last_reply_;
+};
+
+TEST(SvcLoopbackTest, HeldTipIsNamedByKeyOnlyWhenTheServerIsAtIt) {
+  // One client alternates between a server at the chain tip and one a block
+  // behind. A reply names the tip by key (form 1) only when the server is at
+  // the tip the client offered, and carries the full tip (form 0) otherwise;
+  // every reply verifies against the tip it resolves to.
+  const CertifiedChain& chain = Chain();
+  SpServer at_tip(SpServerConfig{});
+  SpServer behind(SpServerConfig{});
+  LoopbackTransport at_tip_lb;
+  LoopbackTransport behind_lb;
+  ASSERT_TRUE(at_tip.Serve(at_tip_lb).ok());
+  ASSERT_TRUE(behind.Serve(behind_lb).ok());
+  AnnounceAll(at_tip, chain);
+  for (std::size_t i = 0; i + 1 < chain.announcements.size(); ++i) {
+    ASSERT_TRUE(behind.Announce(chain.announcements[i]).ok());
+  }
+
+  bool use_behind = false;
+  Bytes last_reply;
+  SpClient client(std::make_unique<SwitchingTransport>(
+      at_tip_lb.Connect(), behind_lb.Connect(), &use_behind, &last_reply));
+  struct Step {
+    bool behind;
+    std::uint8_t form;
+  };
+  const Step steps[] = {{false, 0}, {false, 1}, {true, 0},
+                        {true, 1},  {false, 0}, {false, 1}};
+  for (const Step& step : steps) {
+    use_behind = step.behind;
+    auto r = client.Historical(chain.hot_account, 1, chain.tip_height);
+    ASSERT_TRUE(r.ok()) << r.message();
+    ASSERT_GT(last_reply.size(), 2u);
+    EXPECT_EQ(last_reply[1], step.form) << "behind=" << step.behind;
+    EXPECT_EQ(r.value().tip.header.height,
+              chain.tip_height - (step.behind ? 1 : 0));
+    EXPECT_EQ(r.value().tip_key, EncodeTip(r.value().tip).key);
+    auto digest = CertifiedDigest(r.value().tip);
+    ASSERT_TRUE(digest.ok()) << digest.message();
+    EXPECT_TRUE(query::HistoricalIndex::VerifyQuery(
+                    digest.value(), chain.hot_account, 1, chain.tip_height,
+                    r.value().proof)
+                    .ok());
+  }
+  at_tip.Shutdown();
+  behind.Shutdown();
 }
 
 TEST(SvcLoopbackTest, ConcurrentClientsGetVerifiableProofs) {
@@ -574,7 +686,7 @@ TEST(SvcTcpTest, TamperedReplyRejectedByClientVerification) {
   // The proof is the last field of the reply; the carried tip precedes it.
   auto clean = DecodeReplyEnvelope(raw.value());
   ASSERT_TRUE(clean.ok());
-  auto clean_body = DecodeQueryBody(clean.value().body);
+  auto clean_body = DecodeQueryReply(clean.value().body, std::nullopt);
   ASSERT_TRUE(clean_body.ok()) << clean_body.message();
   const std::size_t proof_len = clean_body.value().proof.Serialize().size();
   ASSERT_LT(proof_len, raw.value().size());
@@ -589,7 +701,7 @@ TEST(SvcTcpTest, TamperedReplyRejectedByClientVerification) {
     tampered[pos] ^= 0x01;
     auto envelope = DecodeReplyEnvelope(tampered);
     if (!envelope.ok() || envelope.value().code != Code::kOk) continue;
-    auto body = DecodeQueryBody(envelope.value().body);
+    auto body = DecodeQueryReply(envelope.value().body, std::nullopt);
     if (!body.ok()) continue;
     auto verified = query::HistoricalIndex::VerifyQuery(
         digest, q.account, q.from_height, q.to_height, body.value().proof);
@@ -601,7 +713,7 @@ TEST(SvcTcpTest, TamperedReplyRejectedByClientVerification) {
   auto envelope = DecodeReplyEnvelope(raw.value());
   ASSERT_TRUE(envelope.ok());
   ASSERT_EQ(envelope.value().code, Code::kOk);
-  auto body = DecodeQueryBody(envelope.value().body);
+  auto body = DecodeQueryReply(envelope.value().body, std::nullopt);
   ASSERT_TRUE(body.ok());
   EXPECT_TRUE(query::HistoricalIndex::VerifyQuery(digest, q.account,
                                                   q.from_height, q.to_height,
@@ -611,39 +723,151 @@ TEST(SvcTcpTest, TamperedReplyRejectedByClientVerification) {
 }
 
 TEST(SvcProtocolTest, QueryReplyTruncatedOrPaddedIsRejected) {
-  // A query reply is the carried tip's fields followed by the proof, every
-  // field length-prefixed: any prefix of the frame and the frame plus one
-  // trailing byte must fail to decode, and the whole frame round-trips.
+  // A query reply is a form byte, the carried tip's fields (form 0) or the
+  // key of the tip the request offered (form 1), then the proof, every
+  // variable field length-prefixed: for both forms any prefix of the frame
+  // and the frame plus one trailing byte must fail to decode, and the whole
+  // frame round-trips.
   const CertifiedChain& chain = Chain();
   SpServer server(SpServerConfig{});
   LoopbackTransport loopback;
   ASSERT_TRUE(server.Serve(loopback).ok());
   AnnounceAll(server, chain);
   auto conn = loopback.Connect();
-  auto raw = conn->Call(EncodeQueryRequest(
-      {Op::kHistorical, chain.hot_account, 1, chain.tip_height}));
-  ASSERT_TRUE(raw.ok()) << raw.message();
-  const Bytes& frame = raw.value();
+  const QueryRequest q{Op::kHistorical, chain.hot_account, 1,
+                       chain.tip_height};
 
-  auto decode = [](ByteView bytes) -> Result<QueryReply> {
+  auto decode = [](ByteView bytes,
+                   const std::optional<HeldTip>& held) -> Result<QueryReply> {
     auto env = DecodeReplyEnvelope(bytes);
     if (!env.ok()) return Result<QueryReply>(env.status());
     if (env.value().code != Code::kOk) {
       return Result<QueryReply>::Error("not ok");
     }
-    return DecodeQueryBody(env.value().body);
+    return DecodeQueryReply(env.value().body, held);
   };
-  auto whole = decode(frame);
+  auto check_form = [&](const Bytes& frame,
+                        const std::optional<HeldTip>& held) {
+    for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+      EXPECT_FALSE(decode(ByteView(frame.data(), cut), held).ok())
+          << "cut at " << cut;
+    }
+    Bytes padded = frame;
+    padded.push_back(0);
+    EXPECT_FALSE(decode(padded, held).ok());
+  };
+
+  auto full_raw = conn->Call(EncodeQueryRequest(q));
+  ASSERT_TRUE(full_raw.ok()) << full_raw.message();
+  const Bytes& full = full_raw.value();
+  auto whole = decode(full, std::nullopt);
   ASSERT_TRUE(whole.ok()) << whole.message();
   EXPECT_EQ(whole.value().tip.header.height, chain.tip_height);
-  EXPECT_EQ(EncodeQueryReply(whole.value().tip, whole.value().proof), frame);
+  const EncodedTip tip = EncodeTip(whole.value().tip);
+  EXPECT_EQ(whole.value().tip_key, tip.key);
+  const Bytes proof = whole.value().proof.Serialize();
+  EXPECT_EQ(AssembleQueryReply(tip, std::nullopt, proof), full);
+  check_form(full, std::nullopt);
 
-  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
-    EXPECT_FALSE(decode(ByteView(frame.data(), cut)).ok()) << "cut at " << cut;
+  // Offering the tip's key gets the by-reference form, which decodes only
+  // against that held tip.
+  const HeldTip held{tip.key, whole.value().tip};
+  auto by_ref_raw = conn->Call(EncodeQueryRequest(q, tip.key));
+  ASSERT_TRUE(by_ref_raw.ok()) << by_ref_raw.message();
+  const Bytes& by_ref = by_ref_raw.value();
+  EXPECT_EQ(AssembleQueryReply(tip, tip.key, proof), by_ref);
+  EXPECT_EQ(by_ref.size(), 2 + Hash256::kSize + 4 + proof.size());
+  auto resolved = decode(by_ref, held);
+  ASSERT_TRUE(resolved.ok()) << resolved.message();
+  EXPECT_EQ(resolved.value().tip, whole.value().tip);
+  EXPECT_EQ(resolved.value().tip_key, tip.key);
+  EXPECT_FALSE(decode(by_ref, std::nullopt).ok());
+  check_form(by_ref, held);
+
+  // A full-form reply whose fields hash to the held key resolves to the held
+  // tip; the form byte is 0 or 1 and nothing else.
+  auto reused = decode(full, held);
+  ASSERT_TRUE(reused.ok()) << reused.message();
+  EXPECT_EQ(reused.value().tip_key, tip.key);
+  for (std::uint8_t form = 2; form != 0; ++form) {
+    Bytes bad = by_ref;
+    bad[1] = form;
+    EXPECT_FALSE(decode(bad, held).ok()) << "form byte " << int{form};
   }
-  Bytes padded = frame;
+  server.Shutdown();
+}
+
+TEST(SvcProtocolTest, QueryRequestTipKeyIsAbsentOrExactly32Bytes) {
+  const QueryRequest q{Op::kAggregate, 7, 1, 9};
+  Hash256 key;
+  key[0] = 0x42;
+  auto plain = DecodeQueryRequest(EncodeQueryRequest(q));
+  ASSERT_TRUE(plain.ok()) << plain.message();
+  EXPECT_FALSE(plain.value().held_tip_key.has_value());
+  EXPECT_EQ(plain.value().query.account, 7u);
+
+  const Bytes keyed = EncodeQueryRequest(q, key);
+  auto with_key = DecodeQueryRequest(keyed);
+  ASSERT_TRUE(with_key.ok()) << with_key.message();
+  ASSERT_TRUE(with_key.value().held_tip_key.has_value());
+  EXPECT_EQ(*with_key.value().held_tip_key, key);
+  EXPECT_EQ(with_key.value().query.to_height, 9u);
+
+  // Any trailing length other than 0 or 32 bytes is malformed.
+  const std::size_t base = keyed.size() - Hash256::kSize;
+  for (std::size_t len = base + 1; len < keyed.size(); ++len) {
+    EXPECT_FALSE(DecodeQueryRequest(ByteView(keyed.data(), len)).ok())
+        << "length " << len;
+  }
+  Bytes padded = keyed;
   padded.push_back(0);
-  EXPECT_FALSE(decode(padded).ok());
+  EXPECT_FALSE(DecodeQueryRequest(padded).ok());
+}
+
+TEST(SvcProtocolTest, EveryByteFlipOfByReferenceReplyIsCaught) {
+  // A by-reference reply is code, form, the 32-byte tip key and the proof.
+  // Against the tip the client validated, every single-byte corruption must
+  // fail to decode or fail verification — a flipped key names a tip the
+  // client does not hold, a flipped form byte makes the key parse as tip
+  // fields.
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+  AnnounceAll(server, chain);
+  SpClient tip_client(loopback.Connect());
+  auto tip = tip_client.FetchTip();
+  ASSERT_TRUE(tip.ok()) << tip.message();
+  auto digest = CertifiedDigest(tip.value());
+  ASSERT_TRUE(digest.ok()) << digest.message();
+  const EncodedTip encoded = EncodeTip(tip.value());
+  const HeldTip held{encoded.key, tip.value()};
+
+  const QueryRequest q{Op::kHistorical, chain.hot_account, 1,
+                       chain.tip_height};
+  auto raw = loopback.Connect()->Call(EncodeQueryRequest(q, encoded.key));
+  ASSERT_TRUE(raw.ok()) << raw.message();
+  const Bytes& frame = raw.value();
+  auto accepted = [&](const Bytes& bytes) {
+    auto env = DecodeReplyEnvelope(bytes);
+    if (!env.ok() || env.value().code != Code::kOk) return false;
+    auto reply = DecodeQueryReply(env.value().body, held);
+    if (!reply.ok()) return false;
+    return query::HistoricalIndex::VerifyQuery(digest.value(), q.account,
+                                               q.from_height, q.to_height,
+                                               reply.value().proof)
+        .ok();
+  };
+  ASSERT_TRUE(accepted(frame));
+  ASSERT_EQ(frame[1], 1u) << "expected the by-reference form";
+  for (std::size_t pos = 0; pos < frame.size(); ++pos) {
+    for (std::uint8_t mask : {0x01, 0x80, 0xff}) {
+      Bytes tampered = frame;
+      tampered[pos] ^= mask;
+      EXPECT_FALSE(accepted(tampered))
+          << "byte " << pos << " ^ " << int{mask} << " was accepted";
+    }
+  }
   server.Shutdown();
 }
 
@@ -969,6 +1193,75 @@ TEST(SvcFaultTest, RetryingClientSurvivesBusyShedding) {
   EXPECT_EQ(ok.load(), kThreads * 2);
   EXPECT_GE(busy_seen.load(), 1u) << "shedding never fired; bound too loose";
   EXPECT_GE(server.Stats().shed, busy_seen.load());
+  server.Shutdown();
+}
+
+/// Flips the first key byte of the next `*remaining` by-reference query
+/// replies, so each names a tip the client did not offer.
+class KeyFlippingTransport final : public ClientTransport {
+ public:
+  KeyFlippingTransport(std::unique_ptr<ClientTransport> inner, int* remaining)
+      : inner_(std::move(inner)), remaining_(remaining) {}
+
+  using ClientTransport::Call;
+  Result<Bytes> Call(ByteView request,
+                     std::chrono::milliseconds deadline) override {
+    auto reply = inner_->Call(request, deadline);
+    if (!reply.ok() || *remaining_ == 0) return reply;
+    Bytes frame = std::move(reply.value());
+    if (frame.size() > 2 && frame[0] == 0 && frame[1] == 1) {
+      frame[2] ^= 0x01;
+      --*remaining_;
+    }
+    return frame;
+  }
+
+ private:
+  std::unique_ptr<ClientTransport> inner_;
+  int* remaining_;
+};
+
+TEST(SvcFaultTest, ByReferenceReplyNamingAnUnofferedKeyIsRetriedNeverAccepted) {
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+  AnnounceAll(server, chain);
+
+  int corrupt = 0;
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.initial_backoff = std::chrono::milliseconds(1);
+  policy.max_backoff = std::chrono::milliseconds(2);
+  SpClient client(
+      [&loopback, &corrupt] {
+        return Result<std::unique_ptr<ClientTransport>>(
+            std::make_unique<KeyFlippingTransport>(loopback.Connect(),
+                                                   &corrupt));
+      },
+      policy);
+  auto tip = client.FetchTip();
+  ASSERT_TRUE(tip.ok()) << tip.message();
+  const Hash256 key = EncodeTip(tip.value()).key;
+
+  // Two garbled replies are retried on fresh connections; the third, naming
+  // the offered key, is the one returned.
+  corrupt = 2;
+  auto r = client.Historical(chain.hot_account, 1, chain.tip_height);
+  ASSERT_TRUE(r.ok()) << r.message();
+  EXPECT_EQ(r.value().tip_key, key);
+  EXPECT_EQ(r.value().tip, tip.value());
+  EXPECT_EQ(client.Stats().transport_errors, 2u);
+  EXPECT_EQ(client.Stats().retries, 2u);
+  EXPECT_EQ(client.Stats().reconnects, 2u);
+
+  // As many garbled replies as attempts: the call gives up instead.
+  corrupt = policy.max_attempts;
+  auto garbled = client.Historical(chain.hot_account, 1, chain.tip_height);
+  EXPECT_FALSE(garbled.ok());
+  EXPECT_EQ(corrupt, 0);
+  EXPECT_EQ(client.Stats().giveups, 1u);
+  EXPECT_EQ(client.Stats().transport_errors, 5u);
   server.Shutdown();
 }
 

@@ -143,15 +143,17 @@ echo "=== [5/5] UBSan build + SIMD/crypto/tree tests ==="
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target \
   sha256_test signature_test secp256k1_test smt_test merkle_tree_test \
-  mbtree_test common_test dcert_test svc_test
+  mbtree_test common_test dcert_test svc_test fleet_test
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight'
+  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight|Fleet|ShardMap'
   # Sha256BatchTest exercises every supported multi-buffer backend (AVX2
   # lane loads, SHA-NI interleaves); VerifyBatchTest covers the combined
   # verification equation; ArenaTest covers the placement-new pool.
   # Serialize and Svc run the field decoders and the reply codecs (query
-  # replies carry the tip) over truncated and padded frames. Superlight
-  # runs the IAS-signature binding over every flipped signature bit.
+  # replies carry the tip or its key) over truncated and padded frames.
+  # Superlight runs the IAS-signature binding over every flipped signature
+  # bit. Fleet and ShardMap run the fleet client's tip memo, failover and
+  # the shard arithmetic.
 
 echo "CI OK"
