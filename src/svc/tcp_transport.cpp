@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -45,80 +47,9 @@ struct NetMetrics {
   }
 };
 
-/// Writes all of `data` to `fd`; false on any error (peer gone, fd closed,
-/// or SO_SNDTIMEO expired). Server-side reply path.
-bool WriteAll(int fd, const std::uint8_t* data, std::size_t n) {
-  while (n > 0) {
-    ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-bool ReadAll(int fd, std::uint8_t* data, std::size_t n) {
-  while (n > 0) {
-    ssize_t r = ::recv(fd, data, n, 0);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;  // EOF or error
-    }
-    data += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-void EncodeLen(std::uint32_t n, std::uint8_t out[4]) {
-  out[0] = static_cast<std::uint8_t>(n);
-  out[1] = static_cast<std::uint8_t>(n >> 8);
-  out[2] = static_cast<std::uint8_t>(n >> 16);
-  out[3] = static_cast<std::uint8_t>(n >> 24);
-}
-
-bool WriteFrame(int fd, ByteView payload) {
-  // Refuse oversized payloads before any byte hits the wire: the u32 length
-  // prefix would otherwise silently truncate sizes past 2^32, and the peer
-  // enforces kMaxFrameBytes on read anyway.
-  if (payload.size() > kMaxFrameBytes) return false;
-  std::uint8_t len[4];
-  EncodeLen(static_cast<std::uint32_t>(payload.size()), len);
-  if (!WriteAll(fd, len, 4) || !WriteAll(fd, payload.data(), payload.size())) {
-    return false;
-  }
-  auto& nm = NetMetrics::Get();
-  nm.frames_out->Add(1);
-  nm.bytes_out->Add(4 + payload.size());
-  return true;
-}
-
-/// Reads one frame; false on EOF/error/oversized frame.
-bool ReadFrame(int fd, Bytes& out) {
-  std::uint8_t len[4];
-  if (!ReadAll(fd, len, 4)) return false;
-  const std::uint32_t n = static_cast<std::uint32_t>(len[0]) |
-                          (static_cast<std::uint32_t>(len[1]) << 8) |
-                          (static_cast<std::uint32_t>(len[2]) << 16) |
-                          (static_cast<std::uint32_t>(len[3]) << 24);
-  if (n > kMaxFrameBytes) return false;
-  out.resize(n);
-  if (n != 0 && !ReadAll(fd, out.data(), n)) return false;
-  auto& nm = NetMetrics::Get();
-  nm.frames_in->Add(1);
-  nm.bytes_in->Add(4 + n);
-  return true;
-}
-
-// --- Deadline-bounded client I/O ----------------------------------------
-// The client socket stays in non-blocking mode; each send/recv that would
-// block polls for readiness with the time remaining until the deadline.
-
 enum class IoResult { kOk, kTimeout, kError };
 
+/// Waits until `fd` is ready for `events` or the deadline passes.
 IoResult PollFor(int fd, short events, Clock::time_point deadline) {
   for (;;) {
     const auto now = Clock::now();
@@ -138,68 +69,131 @@ IoResult PollFor(int fd, short events, Clock::time_point deadline) {
   }
 }
 
-IoResult SendAll(int fd, const std::uint8_t* data, std::size_t n,
-                 Clock::time_point deadline) {
-  while (n > 0) {
-    ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
+/// Sends one frame, the length prefix and the payload in one sendmsg,
+/// looping only on a partial write. With a deadline the socket is
+/// non-blocking and a full send buffer polls until the deadline; without one
+/// the socket blocks (bounded by the server's SO_SNDTIMEO) and any failure
+/// is final.
+IoResult WriteFrame(int fd, ByteView payload,
+                    std::optional<Clock::time_point> deadline) {
+  // Refuse oversized payloads before any byte hits the wire: the u32 length
+  // prefix would otherwise silently truncate sizes past 2^32, and the peer
+  // enforces kMaxFrameBytes on read anyway.
+  if (payload.size() > kMaxFrameBytes) return IoResult::kError;
+  const auto n = static_cast<std::uint32_t>(payload.size());
+  std::uint8_t len[4] = {static_cast<std::uint8_t>(n),
+                         static_cast<std::uint8_t>(n >> 8),
+                         static_cast<std::uint8_t>(n >> 16),
+                         static_cast<std::uint8_t>(n >> 24)};
+  iovec iov[2] = {{len, 4},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  const int flags = MSG_NOSIGNAL | (deadline ? MSG_DONTWAIT : 0);
+  std::size_t left = 4 + payload.size();
+  while (left > 0) {
+    const ssize_t w = ::sendmsg(fd, &msg, flags);
     if (w > 0) {
-      data += w;
-      n -= static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      IoResult r = PollFor(fd, POLLOUT, deadline);
-      if (r != IoResult::kOk) return r;
+      left -= static_cast<std::size_t>(w);
+      // Skip what went out: whole iovecs, then into the partial one.
+      auto sent = static_cast<std::size_t>(w);
+      while (sent > 0 && sent >= msg.msg_iov->iov_len) {
+        sent -= msg.msg_iov->iov_len;
+        ++msg.msg_iov;
+        --msg.msg_iovlen;
+      }
+      if (sent > 0) {
+        msg.msg_iov->iov_base =
+            static_cast<std::uint8_t*>(msg.msg_iov->iov_base) + sent;
+        msg.msg_iov->iov_len -= sent;
+      }
       continue;
     }
     if (w < 0 && errno == EINTR) continue;
-    return IoResult::kError;
-  }
-  return IoResult::kOk;
-}
-
-IoResult RecvAll(int fd, std::uint8_t* data, std::size_t n,
-                 Clock::time_point deadline) {
-  while (n > 0) {
-    ssize_t r = ::recv(fd, data, n, MSG_DONTWAIT);
-    if (r > 0) {
-      data += r;
-      n -= static_cast<std::size_t>(r);
+    if (w < 0 && deadline && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (IoResult r = PollFor(fd, POLLOUT, *deadline); r != IoResult::kOk) {
+        return r;
+      }
       continue;
     }
-    if (r == 0) return IoResult::kError;  // EOF
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      IoResult w = PollFor(fd, POLLIN, deadline);
-      if (w != IoResult::kOk) return w;
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return IoResult::kError;
-  }
-  return IoResult::kOk;
-}
-
-IoResult ReadFrameDeadline(int fd, Bytes& out, Clock::time_point deadline) {
-  std::uint8_t len[4];
-  if (IoResult r = RecvAll(fd, len, 4, deadline); r != IoResult::kOk) return r;
-  const std::uint32_t n = static_cast<std::uint32_t>(len[0]) |
-                          (static_cast<std::uint32_t>(len[1]) << 8) |
-                          (static_cast<std::uint32_t>(len[2]) << 16) |
-                          (static_cast<std::uint32_t>(len[3]) << 24);
-  if (n > kMaxFrameBytes) return IoResult::kError;
-  out.resize(n);
-  if (n != 0) {
-    if (IoResult r = RecvAll(fd, out.data(), n, deadline); r != IoResult::kOk) {
-      return r;
-    }
+    return IoResult::kError;  // peer gone, fd closed, or SO_SNDTIMEO expired
   }
   auto& nm = NetMetrics::Get();
-  nm.frames_in->Add(1);
-  nm.bytes_in->Add(4 + n);
+  nm.frames_out->Add(1);
+  nm.bytes_out->Add(4 + payload.size());
   return IoResult::kOk;
 }
 
 }  // namespace
+
+FrameReader::ReadResult FrameReader::Read(
+    int fd, Bytes& frame, std::optional<Clock::time_point> deadline) {
+  for (;;) {
+    std::size_t need = 4;
+    if (Buffered() >= 4) {
+      const std::uint8_t* p = buf_.get() + begin_;
+      const std::uint32_t n = static_cast<std::uint32_t>(p[0]) |
+                              (static_cast<std::uint32_t>(p[1]) << 8) |
+                              (static_cast<std::uint32_t>(p[2]) << 16) |
+                              (static_cast<std::uint32_t>(p[3]) << 24);
+      if (n > kMaxFrameBytes) return ReadResult::kOversized;
+      need = 4 + std::size_t{n};
+      if (Buffered() >= need) {
+        frame.assign(p + 4, p + need);
+        begin_ += need;
+        if (begin_ == end_) {
+          begin_ = end_ = 0;
+          if (capacity_ > kRetainBytes) {
+            buf_.reset();
+            capacity_ = 0;
+          }
+        }
+        auto& nm = NetMetrics::Get();
+        nm.frames_in->Add(1);
+        nm.bytes_in->Add(need);
+        return ReadResult::kFrame;
+      }
+    }
+    MakeRoom(need);
+    if (deadline) {
+      if (IoResult r = PollFor(fd, POLLIN, *deadline); r != IoResult::kOk) {
+        return r == IoResult::kTimeout ? ReadResult::kTimeout
+                                       : ReadResult::kClosed;
+      }
+    }
+    const ssize_t r = ::recv(fd, buf_.get() + end_, capacity_ - end_,
+                             deadline ? MSG_DONTWAIT : 0);
+    if (r > 0) {
+      end_ += static_cast<std::size_t>(r);
+      continue;
+    }
+    if (r < 0 && (errno == EINTR ||
+                  (deadline && (errno == EAGAIN || errno == EWOULDBLOCK)))) {
+      continue;
+    }
+    return ReadResult::kClosed;  // EOF or error
+  }
+}
+
+void FrameReader::MakeRoom(std::size_t need) {
+  if (end_ < capacity_) return;
+  const std::size_t have = Buffered();
+  if (begin_ > 0) {
+    std::memmove(buf_.get(), buf_.get() + begin_, have);
+    begin_ = 0;
+    end_ = have;
+    return;
+  }
+  // Full of one unfinished frame: double, but never past the frame's size,
+  // so memory follows the bytes that arrived rather than the prefix's claim.
+  const std::size_t capacity =
+      std::max(kInitialBytes, std::min(need, 2 * capacity_));
+  std::unique_ptr<std::uint8_t[]> grown(new std::uint8_t[capacity]);
+  if (have > 0) std::memcpy(grown.get(), buf_.get(), have);
+  buf_ = std::move(grown);
+  capacity_ = capacity;
+}
 
 TcpServerTransport::~TcpServerTransport() { Stop(); }
 
@@ -300,15 +294,16 @@ void TcpServerTransport::AcceptLoop() {
 }
 
 void TcpServerTransport::ReaderLoop(std::shared_ptr<Conn> conn) {
+  FrameReader reader;
   Bytes frame;
-  while (ReadFrame(conn->fd, frame)) {
+  while (reader.Read(conn->fd, frame) == FrameReader::ReadResult::kFrame) {
     // The respond closure shares ownership of the connection so replies
     // written after the reader exits (or after Stop) stay memory-safe; the
     // open flag under write_mu makes them silent no-ops instead.
     Respond respond = [conn](Bytes reply) {
       std::lock_guard<std::mutex> lk(conn->write_mu);
       if (!conn->open) return;
-      if (!WriteFrame(conn->fd, reply)) {
+      if (WriteFrame(conn->fd, reply, std::nullopt) != IoResult::kOk) {
         // Peer gone or SO_SNDTIMEO expired: poison the connection so the
         // blocked reader wakes up and reaps it.
         conn->open = false;
@@ -446,32 +441,37 @@ Result<Bytes> TcpClientTransport::Call(ByteView request,
         ")");
   }
   const auto dl = Clock::now() + deadline;
-  std::uint8_t len[4];
-  EncodeLen(static_cast<std::uint32_t>(request.size()), len);
-  IoResult r = SendAll(fd_, len, 4, dl);
-  if (r == IoResult::kOk && !request.empty()) {
-    r = SendAll(fd_, request.data(), request.size(), dl);
-  }
-  if (r != IoResult::kOk) {
+  if (IoResult r = WriteFrame(fd_, request, dl); r != IoResult::kOk) {
     broken_ = true;
     return Result<Bytes>(
         r == IoResult::kTimeout
             ? TimeoutError("tcp client: send did not complete within deadline")
             : ConnectionError("tcp client: write failed (server gone?)"));
   }
-  {
-    auto& nm = NetMetrics::Get();
-    nm.frames_out->Add(1);
-    nm.bytes_out->Add(4 + request.size());
-  }
   Bytes reply;
-  r = ReadFrameDeadline(fd_, reply, dl);
-  if (r != IoResult::kOk) {
+  const FrameReader::ReadResult r = reader_.Read(fd_, reply, dl);
+  if (r != FrameReader::ReadResult::kFrame) {
     broken_ = true;
-    return Result<Bytes>(
-        r == IoResult::kTimeout
-            ? TimeoutError("tcp client: no reply within deadline")
-            : ConnectionError("tcp client: read failed (server gone?)"));
+    switch (r) {
+      case FrameReader::ReadResult::kTimeout:
+        return Result<Bytes>(
+            TimeoutError("tcp client: no reply within deadline"));
+      case FrameReader::ReadResult::kOversized:
+        return Result<Bytes>(ConnectionError(
+            "tcp client: reply prefix exceeds the frame cap (" +
+            std::to_string(kMaxFrameBytes) + ")"));
+      default:
+        return Result<Bytes>(
+            ConnectionError("tcp client: read failed (server gone?)"));
+    }
+  }
+  if (reader_.Buffered() != 0) {
+    // One call is outstanding, so nothing may follow its reply: these bytes
+    // would be read as the next call's reply.
+    broken_ = true;
+    return Result<Bytes>(ConnectionError(
+        "tcp client: " + std::to_string(reader_.Buffered()) +
+        " bytes beyond the reply frame"));
   }
   return reply;
 }

@@ -4,6 +4,15 @@
 // a handler may respond from any thread (SpServer and FleetRouter respond on
 // the reader thread), so each connection serializes writes with a mutex.
 //
+// One syscall per frame in each direction: a frame goes out as one sendmsg
+// of the prefix and the payload (looping only on a partial write), and comes
+// in through a FrameReader, a buffer the connection owns, so one recv
+// normally returns a whole frame. The server's reader serves pipelined
+// frames in order; the client has a single call outstanding, so bytes read
+// along with its reply frame, past its end, are a protocol violation that
+// breaks the connection. Read buffers grow with the bytes that have actually
+// arrived, never with what a length prefix claims (see FrameReader).
+//
 // Connection lifecycle: a reader that hits EOF/error closes its fd and
 // removes its registry entry itself; the accept loop reaps finished reader
 // threads before each accept, so connection churn leaves fd and thread
@@ -13,7 +22,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -28,6 +40,43 @@ namespace dcert::svc {
 /// read side and the send side (an oversized payload is refused before any
 /// byte hits the wire, so it cannot silently truncate to size mod 2^32).
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
+/// Reads length-prefixed frames from a socket through a buffer it owns, so
+/// one recv normally yields a whole frame, or several pipelined ones.
+/// Allocation is bounded by the bytes received, not by what a prefix claims:
+/// the buffer starts at kInitialBytes and doubles only when it is full of
+/// one unfinished frame, never past that frame's size. Once drained it is
+/// released if a large frame grew it past kRetainBytes. A peer that claims
+/// kMaxFrameBytes and then stalls after 1 KiB pins kInitialBytes.
+class FrameReader {
+ public:
+  static constexpr std::size_t kInitialBytes = 4u << 10;
+  static constexpr std::size_t kRetainBytes = 64u << 10;
+
+  enum class ReadResult { kFrame, kTimeout, kClosed, kOversized };
+
+  /// Reads the next frame into `frame`, from the buffer if it already holds
+  /// one. Without a deadline `fd` is a blocking socket; with one it is
+  /// non-blocking and every wait polls first, until the deadline (kTimeout).
+  /// kClosed is EOF or an I/O error; kOversized a prefix above
+  /// kMaxFrameBytes. The stream is unusable after anything but kFrame.
+  ReadResult Read(int fd, Bytes& frame,
+                  std::optional<std::chrono::steady_clock::time_point>
+                      deadline = std::nullopt);
+
+  /// Bytes received beyond the frames returned so far.
+  std::size_t Buffered() const { return end_ - begin_; }
+  std::size_t Capacity() const { return capacity_; }
+
+ private:
+  /// Makes room after end_ for an unfinished frame of `need` bytes.
+  void MakeRoom(std::size_t need);
+
+  std::unique_ptr<std::uint8_t[]> buf_;  // not zero-filled
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;  // first unreturned byte
+  std::size_t end_ = 0;    // one past the last received byte
+};
 
 struct TcpServerConfig {
   /// 0 binds an ephemeral port (read it back via Port()).
@@ -110,9 +159,11 @@ class TcpClientTransport final : public ClientTransport {
  private:
   explicit TcpClientTransport(int fd) : fd_(fd) {}
   int fd_;
-  // After a timeout or I/O error the frame stream may be desynced (a late
-  // reply to request N would answer request N+1), so the connection refuses
-  // further calls with a connection error and the caller redials.
+  FrameReader reader_;
+  // After a timeout, an I/O error or bytes beyond the reply frame the frame
+  // stream may be desynced (a late reply to request N would answer request
+  // N+1), so the connection refuses further calls with a connection error
+  // and the caller redials.
   bool broken_ = false;
 };
 

@@ -1,12 +1,16 @@
 // dcertctl argument handling, pinned end-to-end: unknown subcommands and
 // malformed arguments must print the usage banner and exit nonzero (exit 2),
-// and the happy paths that need no server must exit 0. The binary path comes
-// from the build system via DCERTCTL_PATH ($<TARGET_FILE:dcertctl>).
+// and the happy paths must exit 0, including the operator path of a served
+// chain queried over TCP. The binary path comes from the build system via
+// DCERTCTL_PATH ($<TARGET_FILE:dcertctl>).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 namespace {
@@ -247,6 +251,68 @@ TEST(Cli, RecoverFreshThenResumeThenFsck) {
   EXPECT_NE(fsck.output.find("fsck OK (4 cert(s) cross-checked)"),
             std::string::npos)
       << fsck.output;
+}
+
+TEST(Cli, ServeAnswersVerifiedQueriesAndStopsWhenStdinCloses) {
+  // `dcertctl serve` with its stdin on a pipe: closing the pipe is the
+  // operator's Ctrl-D.
+  int in[2];
+  int out[2];
+  ASSERT_EQ(pipe(in), 0);
+  ASSERT_EQ(pipe(out), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    dup2(in[0], STDIN_FILENO);
+    dup2(out[1], STDOUT_FILENO);
+    dup2(out[1], STDERR_FILENO);
+    for (int fd : {in[0], in[1], out[0], out[1]}) close(fd);
+    execl(DCERTCTL_PATH, DCERTCTL_PATH, "serve", "0", "4", "8",
+          static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(in[0]);
+  close(out[1]);
+  std::FILE* served = fdopen(out[0], "r");
+  ASSERT_NE(served, nullptr);
+
+  // The banner names the ephemeral port it bound.
+  std::string output;
+  std::string target;
+  char line[512];
+  while (target.empty() && std::fgets(line, sizeof(line), served) != nullptr) {
+    output += line;
+    unsigned port = 0;
+    const char* at = std::strstr(line, "on 127.0.0.1:");
+    if (std::strncmp(line, "serving ", 8) == 0 && at != nullptr &&
+        std::sscanf(at, "on 127.0.0.1:%u", &port) == 1) {
+      target = "127.0.0.1:" + std::to_string(port);
+    }
+  }
+  ASSERT_FALSE(target.empty()) << output;
+
+  const CliResult tip = RunCli("query " + target + " tip");
+  EXPECT_EQ(tip.exit_code, 0) << tip.output;
+  EXPECT_NE(tip.output.find("tip height:    4"), std::string::npos)
+      << tip.output;
+  EXPECT_NE(tip.output.find("certificates:  VALID"), std::string::npos)
+      << tip.output;
+  for (const char* what : {"hist", "agg"}) {
+    const CliResult r = RunCli("query " + target + " " + what + " 0 1 4");
+    EXPECT_EQ(r.exit_code, 0) << what << ": " << r.output;
+    EXPECT_NE(r.output.find("proof VERIFIED against certified digest"),
+              std::string::npos)
+        << what << ": " << r.output;
+  }
+
+  close(in[1]);  // Ctrl-D: drain, stop, exit 0
+  while (std::fgets(line, sizeof(line), served) != nullptr) output += line;
+  std::fclose(served);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << output;
+  EXPECT_NE(output.find("drained and stopped"), std::string::npos) << output;
 }
 
 }  // namespace

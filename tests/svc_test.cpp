@@ -8,13 +8,17 @@
 
 #include <arpa/inet.h>
 #include <dirent.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <optional>
 #include <stdexcept>
@@ -1148,6 +1152,464 @@ TEST(SvcTcpTest, ConnectionCapShedsExcessConnections) {
   }
   EXPECT_GE(tcp.Stats().rejected_over_cap, 1u);
   server.Shutdown();
+}
+
+// --- Framing over raw sockets ---------------------------------------------
+// The wire format is a u32 little-endian length, then the payload. These
+// helpers speak it over plain blocking sockets, one send and one recv per
+// field, so they pin the format independently of FrameReader.
+
+Bytes LengthPrefix(std::uint32_t n) {
+  return Bytes{static_cast<std::uint8_t>(n), static_cast<std::uint8_t>(n >> 8),
+               static_cast<std::uint8_t>(n >> 16),
+               static_cast<std::uint8_t>(n >> 24)};
+}
+
+Bytes Frame(ByteView payload) {
+  Bytes out = LengthPrefix(static_cast<std::uint32_t>(payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+void SendBytes(int fd, ByteView data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t w =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(w, 0) << "send failed";
+    off += static_cast<std::size_t>(w);
+  }
+}
+
+/// Sends `data` one byte per send, pausing so each byte is its own segment.
+void SendByteByByte(int fd, ByteView data) {
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    SendBytes(fd, data.subspan(i, 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+bool RecvExactly(int fd, std::uint8_t* out, std::size_t n) {
+  while (n > 0) {
+    const ssize_t r = ::recv(fd, out, n, 0);
+    if (r <= 0) return false;
+    out += r;
+    n -= static_cast<std::size_t>(r);
+  }
+  return true;
+}
+
+/// Reads one frame: the prefix with one recv loop, the payload with another.
+std::optional<Bytes> RecvFrame(int fd) {
+  std::uint8_t len[4];
+  if (!RecvExactly(fd, len, 4)) return std::nullopt;
+  const std::uint32_t n = len[0] | (len[1] << 8) | (len[2] << 16) |
+                          (static_cast<std::uint32_t>(len[3]) << 24);
+  Bytes payload(n);
+  if (n > 0 && !RecvExactly(fd, payload.data(), n)) return std::nullopt;
+  return payload;
+}
+
+/// True once the peer has closed: recv reports EOF (or a reset) before the
+/// socket's receive timeout.
+bool PeerClosed(int fd) {
+  std::uint8_t byte;
+  for (;;) {
+    const ssize_t r = ::recv(fd, &byte, 1, 0);
+    if (r == 0) return true;
+    if (r < 0) return errno == ECONNRESET;
+  }
+}
+
+/// Bounds every blocking recv on `fd`, so a broken case fails instead of
+/// hanging.
+void SetRecvTimeout(int fd) {
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+/// A blocking client socket connected to 127.0.0.1:port.
+int DialRaw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetRecvTimeout(fd);
+  return fd;
+}
+
+/// A scripted peer on an ephemeral loopback port: accepts one connection and
+/// runs `script` on it in its own thread. Destroy the client first, so a
+/// script that ends by waiting for EOF sees it.
+class FakeServer {
+ public:
+  explicit FakeServer(std::function<void(int fd)> script) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t addr_len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+            0 &&
+        ::listen(listen_fd_, 4) == 0 &&
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                      &addr_len) == 0) {
+      port_ = ntohs(addr.sin_port);
+    }
+    thread_ = std::thread([this, script = std::move(script)] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      SetRecvTimeout(fd);
+      script(fd);
+      ::close(fd);
+    });
+  }
+  FakeServer(const FakeServer&) = delete;
+  FakeServer& operator=(const FakeServer&) = delete;
+  ~FakeServer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept nobody dialed
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+Bytes PatternBytes(std::size_t n, std::uint8_t seed) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(seed + i * 7);
+  }
+  return out;
+}
+
+/// Resident set size of this process in KiB (VmRSS; 0 if unreadable).
+std::size_t ResidentKiB() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  std::size_t kib = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %zu kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib;
+}
+
+/// Verifies a raw historical-query reply frame against its carried tip.
+void ExpectVerifiedHistoricalReply(const std::optional<Bytes>& frame,
+                                   const CertifiedChain& chain) {
+  ASSERT_TRUE(frame.has_value()) << "no reply frame";
+  auto env = DecodeReplyEnvelope(*frame);
+  ASSERT_TRUE(env.ok()) << env.message();
+  ASSERT_EQ(env.value().code, Code::kOk) << env.value().message;
+  auto reply = DecodeQueryReply(env.value().body, std::nullopt);
+  ASSERT_TRUE(reply.ok()) << reply.message();
+  auto digest = CertifiedDigest(reply.value().tip);
+  ASSERT_TRUE(digest.ok()) << digest.message();
+  auto versions = query::HistoricalIndex::VerifyQuery(
+      digest.value(), chain.hot_account, 1, chain.tip_height,
+      reply.value().proof);
+  ASSERT_TRUE(versions.ok()) << versions.message();
+  EXPECT_FALSE(versions.value().empty());
+}
+
+TEST(SvcTcpTest, FrameReaderMemoryFollowsBytesReceivedNotTheClaimedLength) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ::fcntl(sv[0], F_SETFL, ::fcntl(sv[0], F_GETFL, 0) | O_NONBLOCK);
+  FrameReader reader;
+  auto soon = [] {
+    return std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  };
+
+  // A prefix claiming the largest legal frame, then 1 KiB, then silence.
+  Bytes opening = LengthPrefix(kMaxFrameBytes);
+  const Bytes kib = PatternBytes(1024, 1);
+  opening.insert(opening.end(), kib.begin(), kib.end());
+  SendBytes(sv[1], opening);
+  Bytes frame;
+  EXPECT_EQ(reader.Read(sv[0], frame, soon()),
+            FrameReader::ReadResult::kTimeout);
+  EXPECT_EQ(reader.Buffered(), opening.size());
+  EXPECT_EQ(reader.Capacity(), FrameReader::kInitialBytes);
+
+  // More bytes grow the buffer geometrically with what arrived: at most
+  // twice the bytes held, nowhere near the 64 MiB claimed.
+  SendBytes(sv[1], PatternBytes(64 << 10, 2));
+  EXPECT_EQ(reader.Read(sv[0], frame, soon()),
+            FrameReader::ReadResult::kTimeout);
+  EXPECT_EQ(reader.Buffered(), opening.size() + (64 << 10));
+  EXPECT_GE(reader.Capacity(), reader.Buffered());
+  EXPECT_LE(reader.Capacity(), 2 * reader.Buffered());
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
+TEST(SvcTcpTest, FrameReaderServesPipelinedFramesAndShrinksAfterALargeOne) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const Bytes large = PatternBytes(1 << 20, 3);
+  const Bytes a = PatternBytes(10, 4);
+  const Bytes b = PatternBytes(0, 0);
+  const Bytes c = PatternBytes(300, 5);
+  std::thread writer([&] {
+    SendBytes(sv[1], Frame(large));
+    Bytes three = Frame(a);  // pipelined: three frames in one send
+    for (const Bytes* f : {&b, &c}) {
+      const Bytes framed = Frame(*f);
+      three.insert(three.end(), framed.begin(), framed.end());
+    }
+    SendBytes(sv[1], three);
+    ::shutdown(sv[1], SHUT_WR);
+  });
+  FrameReader reader;
+  Bytes frame;
+  ASSERT_EQ(reader.Read(sv[0], frame), FrameReader::ReadResult::kFrame);
+  EXPECT_EQ(frame, large);
+  // Drained after a frame that grew it past kRetainBytes: released.
+  EXPECT_LE(reader.Capacity(), FrameReader::kRetainBytes);
+  for (const Bytes* want : {&a, &b, &c}) {
+    ASSERT_EQ(reader.Read(sv[0], frame), FrameReader::ReadResult::kFrame);
+    EXPECT_EQ(frame, *want);
+    EXPECT_LE(reader.Capacity(), FrameReader::kInitialBytes);
+  }
+  EXPECT_EQ(reader.Buffered(), 0u);
+  EXPECT_EQ(reader.Read(sv[0], frame), FrameReader::ReadResult::kClosed);
+  writer.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
+TEST(SvcTcpTest, StalledOversizedClaimsPinNoMemoryAndVerifiedServiceGoesOn) {
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  TcpServerTransport tcp(/*port=*/0);
+  ASSERT_TRUE(server.Serve(tcp).ok());
+  AnnounceAll(server, chain);
+
+  // Each stalled peer claims a 64 MiB request and sends 1 KiB of it. A
+  // reader that sized its buffer from the prefix would pin 64 MiB apiece.
+  constexpr int kStalled = 4;
+  const std::size_t rss_before = ResidentKiB();
+  Bytes opening = LengthPrefix(kMaxFrameBytes);
+  const Bytes kib = PatternBytes(1024, 6);
+  opening.insert(opening.end(), kib.begin(), kib.end());
+  std::vector<int> stalled;
+  for (int i = 0; i < kStalled; ++i) {
+    stalled.push_back(DialRaw(tcp.Port()));
+    ASSERT_GE(stalled.back(), 0);
+    SendBytes(stalled.back(), opening);
+  }
+  for (int i = 0; i < 500 && tcp.Stats().open_connections < kStalled; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(tcp.Stats().open_connections, static_cast<std::size_t>(kStalled));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let them read
+
+  auto conn = TcpClientTransport::Connect("127.0.0.1", tcp.Port());
+  ASSERT_TRUE(conn.ok()) << conn.message();
+  SpClient client(std::move(conn.value()));
+  const Hash256 digest = TrustedDigest(client);
+  auto hist = client.Historical(chain.hot_account, 1, chain.tip_height);
+  ASSERT_TRUE(hist.ok()) << hist.message();
+  auto versions = query::HistoricalIndex::VerifyQuery(
+      digest, chain.hot_account, 1, chain.tip_height, hist.value().proof);
+  ASSERT_TRUE(versions.ok()) << versions.message();
+
+  // Less than a single claimed frame for all of them together.
+  EXPECT_LT(ResidentKiB(), rss_before + (kMaxFrameBytes >> 10));
+  for (int fd : stalled) ::close(fd);
+  server.Shutdown();
+}
+
+TEST(SvcTcpTest, RequestWrittenOneByteAtATimeIsAnswered) {
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  TcpServerTransport tcp(/*port=*/0);
+  ASSERT_TRUE(server.Serve(tcp).ok());
+  AnnounceAll(server, chain);
+
+  const int fd = DialRaw(tcp.Port());
+  ASSERT_GE(fd, 0);
+  const QueryRequest q{Op::kHistorical, chain.hot_account, 1, chain.tip_height};
+  SendByteByByte(fd, Frame(EncodeQueryRequest(q)));
+  ExpectVerifiedHistoricalReply(RecvFrame(fd), chain);
+  ::close(fd);
+  server.Shutdown();
+}
+
+TEST(SvcTcpTest, PipelinedRequestFramesAreAnsweredInOrder) {
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  TcpServerTransport tcp(/*port=*/0);
+  ASSERT_TRUE(server.Serve(tcp).ok());
+  AnnounceAll(server, chain);
+
+  const int fd = DialRaw(tcp.Port());
+  ASSERT_GE(fd, 0);
+  const QueryRequest q{Op::kHistorical, chain.hot_account, 1, chain.tip_height};
+  Bytes both = Frame(EncodeQueryRequest(q));
+  const Bytes tip_request = Frame(EncodeTipFetchRequest());
+  both.insert(both.end(), tip_request.begin(), tip_request.end());
+  SendBytes(fd, both);  // two request frames in one send
+
+  ExpectVerifiedHistoricalReply(RecvFrame(fd), chain);
+  const auto second = RecvFrame(fd);
+  ASSERT_TRUE(second.has_value());
+  auto env = DecodeReplyEnvelope(*second);
+  ASSERT_TRUE(env.ok()) << env.message();
+  auto tip = DecodeTipBody(env.value().body);
+  ASSERT_TRUE(tip.ok()) << tip.message();
+  EXPECT_EQ(tip.value().header.height, chain.tip_height);
+  ::close(fd);
+  server.Shutdown();
+}
+
+TEST(SvcTcpTest, OversizedRequestPrefixClosesTheServerConnection) {
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  TcpServerTransport tcp(/*port=*/0);
+  ASSERT_TRUE(server.Serve(tcp).ok());
+  AnnounceAll(server, chain);
+
+  const int fd = DialRaw(tcp.Port());
+  ASSERT_GE(fd, 0);
+  SendBytes(fd, LengthPrefix(kMaxFrameBytes + 1));
+  EXPECT_TRUE(PeerClosed(fd));
+  ::close(fd);
+  for (int i = 0; i < 500 && tcp.Stats().open_connections != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(tcp.Stats().open_connections, 0u);
+  server.Shutdown();
+}
+
+TEST(SvcTcpTest, ReplyWrittenOneByteAtATimeDecodesWithinTheDeadline) {
+  const Bytes request = PatternBytes(40, 7);
+  const Bytes reply = PatternBytes(120, 8);
+  FakeServer peer([&](int fd) {
+    const auto got = RecvFrame(fd);
+    EXPECT_EQ(got, std::optional<Bytes>(request));
+    SendByteByByte(fd, Frame(reply));
+    EXPECT_TRUE(PeerClosed(fd));
+  });
+  auto conn = TcpClientTransport::Connect("127.0.0.1", peer.port());
+  ASSERT_TRUE(conn.ok()) << conn.message();
+  auto r = conn.value()->Call(request, std::chrono::seconds(5));
+  ASSERT_TRUE(r.ok()) << r.message();
+  EXPECT_EQ(r.value(), reply);
+}
+
+TEST(SvcTcpTest, OversizedReplyPrefixIsAConnectionError) {
+  FakeServer peer([](int fd) {
+    ASSERT_TRUE(RecvFrame(fd).has_value());
+    SendBytes(fd, LengthPrefix(kMaxFrameBytes + 1));
+    EXPECT_TRUE(PeerClosed(fd));
+  });
+  auto conn = TcpClientTransport::Connect("127.0.0.1", peer.port());
+  ASSERT_TRUE(conn.ok()) << conn.message();
+  auto r = conn.value()->Call(EncodeTipFetchRequest(), std::chrono::seconds(5));
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(IsConnectionError(r.status())) << r.message();
+  auto again =
+      conn.value()->Call(EncodeTipFetchRequest(), std::chrono::seconds(5));
+  ASSERT_FALSE(again.ok());
+  EXPECT_TRUE(IsConnectionError(again.status())) << again.message();
+}
+
+TEST(SvcTcpTest, BytesBeyondTheReplyFrameBreakTheConnection) {
+  // The reply to call 1 arrives with a whole second frame behind it: a
+  // client that kept those bytes would hand them to call 2 as its reply.
+  const Bytes first = PatternBytes(50, 9);
+  const Bytes planted = PatternBytes(50, 10);
+  FakeServer peer([&](int fd) {
+    ASSERT_TRUE(RecvFrame(fd).has_value());
+    Bytes out = Frame(first);
+    const Bytes extra = Frame(planted);
+    out.insert(out.end(), extra.begin(), extra.end());
+    SendBytes(fd, out);
+    EXPECT_TRUE(PeerClosed(fd));
+  });
+  auto conn = TcpClientTransport::Connect("127.0.0.1", peer.port());
+  ASSERT_TRUE(conn.ok()) << conn.message();
+  auto r = conn.value()->Call(EncodeTipFetchRequest(), std::chrono::seconds(5));
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(IsConnectionError(r.status())) << r.message();
+  auto again =
+      conn.value()->Call(EncodeTipFetchRequest(), std::chrono::seconds(5));
+  ASSERT_FALSE(again.ok()) << "returned a reply that answered another call";
+  EXPECT_TRUE(IsConnectionError(again.status())) << again.message();
+}
+
+TEST(SvcTcpTest, PeersFramingPrefixAndPayloadSeparatelyInteroperate) {
+  // A peer that writes and reads the prefix and the payload as separate
+  // fields sees exactly `u32 little-endian length || payload`, both ways.
+  const std::vector<Bytes> requests = {PatternBytes(33, 11), Bytes{},
+                                       PatternBytes(5000, 12)};
+  FakeServer peer([&](int fd) {
+    for (const Bytes& want : requests) {
+      std::uint8_t len[4];
+      ASSERT_TRUE(RecvExactly(fd, len, 4));
+      EXPECT_EQ(Bytes(len, len + 4),
+                LengthPrefix(static_cast<std::uint32_t>(want.size())));
+      Bytes got(want.size());
+      ASSERT_TRUE(got.empty() || RecvExactly(fd, got.data(), got.size()));
+      EXPECT_EQ(got, want);
+      Bytes reply = want;
+      std::reverse(reply.begin(), reply.end());
+      SendBytes(fd, LengthPrefix(static_cast<std::uint32_t>(reply.size())));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (!reply.empty()) SendBytes(fd, reply);
+    }
+    EXPECT_TRUE(PeerClosed(fd));
+  });
+  {
+    auto conn = TcpClientTransport::Connect("127.0.0.1", peer.port());
+    ASSERT_TRUE(conn.ok()) << conn.message();
+    for (const Bytes& request : requests) {
+      auto r = conn.value()->Call(request, std::chrono::seconds(5));
+      ASSERT_TRUE(r.ok()) << r.message();
+      EXPECT_EQ(r.value(), Bytes(request.rbegin(), request.rend()));
+    }
+  }
+
+  // And the server side, against a client framing the same way.
+  TcpServerTransport tcp(/*port=*/0);
+  ASSERT_TRUE(tcp.Start([](Bytes request, Respond respond) {
+                   std::reverse(request.begin(), request.end());
+                   respond(std::move(request));
+                 }).ok());
+  const int fd = DialRaw(tcp.Port());
+  ASSERT_GE(fd, 0);
+  for (const Bytes& request : requests) {
+    SendBytes(fd, LengthPrefix(static_cast<std::uint32_t>(request.size())));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!request.empty()) SendBytes(fd, request);
+    std::uint8_t len[4];
+    ASSERT_TRUE(RecvExactly(fd, len, 4));
+    EXPECT_EQ(Bytes(len, len + 4),
+              LengthPrefix(static_cast<std::uint32_t>(request.size())));
+    Bytes got(request.size());
+    ASSERT_TRUE(got.empty() || RecvExactly(fd, got.data(), got.size()));
+    EXPECT_EQ(got, Bytes(request.rbegin(), request.rend()));
+  }
+  ::close(fd);
+  tcp.Stop();
 }
 
 TEST(SvcFaultTest, RetryingClientSurvivesBusyShedding) {

@@ -3,11 +3,12 @@
 # ThreadSanitizer build (DCERT_SANITIZE=thread) running the threaded tests
 # that exercise the thread-pool/SMT/batched-signature parallel paths, the serving
 # subsystem, and the obs metrics hammering, then an AddressSanitizer build
-# (DCERT_SANITIZE=address) running the server/transport/obs tests (socket
-# and buffer handling), then two legs for the SIMD hashing dispatch: the
-# TSan suite re-run under DCERT_FORCE_SCALAR_HASH=1 (the scalar fallback
-# must be just as race-free as the hardware paths — and this is the only
-# way the fallback gets sanitizer coverage on SHA-NI machines), and a
+# (DCERT_SANITIZE=address) running the server/transport/obs tests and the
+# dcertctl CLI tests (socket and buffer handling), then two legs for the
+# SIMD hashing dispatch: the TSan suite re-run under
+# DCERT_FORCE_SCALAR_HASH=1 (the scalar fallback must be just as race-free
+# as the hardware paths — and this is the only way the fallback gets
+# sanitizer coverage on SHA-NI machines), and a
 # UBSanitizer build (DCERT_SANITIZE=undefined) running the crypto/tree
 # suites over the multi-buffer SHA-256 backends, the batch verifier, and
 # the arena allocator (pointer/alignment/shift UB in kernel and pool code).
@@ -119,12 +120,15 @@ echo "=== [3/5] ASan build + serving/transport tests ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target \
   svc_test net_test thread_pool_test fleet_test obs_test record_log_test \
-  crash_recovery_test ckpt_test chaos_test common_test dcert_test
+  crash_recovery_test ckpt_test chaos_test common_test dcert_test \
+  dcertctl cli_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos'
+  -R 'Serialize|Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|Cli'
   # Serialize covers the strict field decoders every wire codec sits on.
+  # Cli runs the ASan-built dcertctl, including `serve` answering
+  # `query tip|hist|agg` over TCP, so the tool's socket path is covered.
   # The checkpoint legs under ASan pin the mmap'd sealed-segment reads and
   # the serialize/deserialize buffer handling in the .dcp codec; the soak's
   # torn-seal site leaves half-written tmp files for Open() to clean up.
