@@ -132,10 +132,19 @@ inline std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// `s` escaped and in double quotes. Built by appending: GCC 12 warns
+/// (-Wrestrict, a false positive) on `"\"" + std::string&&`.
+inline std::string JsonQuote(const std::string& s) {
+  std::string out = "\"";
+  out += JsonEscape(s);
+  out += '"';
+  return out;
+}
+
 class JsonObject {
  public:
   JsonObject& Put(const std::string& key, const std::string& value) {
-    return PutRaw(key, "\"" + JsonEscape(value) + "\"");
+    return PutRaw(key, JsonQuote(value));
   }
   JsonObject& Put(const std::string& key, const char* value) {
     return Put(key, std::string(value));
@@ -155,7 +164,9 @@ class JsonObject {
   /// Inserts `json` (an already-encoded value: object, array, literal).
   JsonObject& PutRaw(const std::string& key, const std::string& json) {
     if (!fields_.empty()) fields_ += ",";
-    fields_ += "\"" + JsonEscape(key) + "\":" + json;
+    fields_ += JsonQuote(key);
+    fields_ += ':';
+    fields_ += json;
     return *this;
   }
   std::string Str() const { return "{" + fields_ + "}"; }

@@ -37,7 +37,10 @@ Result<BlockHeader> BlockHeader::Deserialize(ByteView data) {
 
 Hash256 BlockHeader::Hash() const { return crypto::Sha256::Digest(Serialize()); }
 
-std::size_t HeaderByteSize() { return BlockHeader{}.Serialize().size(); }
+std::size_t HeaderByteSize() {
+  static const std::size_t size = BlockHeader{}.Serialize().size();
+  return size;
+}
 
 Bytes Transaction::SigningPayload() const {
   Encoder enc;
@@ -93,6 +96,11 @@ Result<Transaction> Transaction::Deserialize(ByteView data) {
   }
 }
 
+std::size_t Transaction::ByteSize() const {
+  // Sender key, nonce, contract id, calldata length and words, signature.
+  return 64 + 8 + 8 + 4 + 8 * calldata.size() + 64;
+}
+
 Hash256 Transaction::Hash() const { return crypto::Sha256::Digest(Serialize()); }
 
 Status Transaction::VerifySignature() const {
@@ -134,6 +142,12 @@ Bytes Block::Serialize() const {
   enc.U32(static_cast<std::uint32_t>(txs.size()));
   for (const Transaction& tx : txs) enc.Blob(tx.Serialize());
   return enc.Take();
+}
+
+std::size_t Block::ByteSize() const {
+  std::size_t size = HeaderByteSize() + 4;  // header, tx count
+  for (const Transaction& tx : txs) size += 4 + tx.ByteSize();  // blob length
+  return size;
 }
 
 Result<Block> Block::Deserialize(ByteView data) {

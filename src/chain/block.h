@@ -47,6 +47,8 @@ struct Transaction {
   Bytes SigningPayload() const;
   Bytes Serialize() const;
   static Result<Transaction> Deserialize(ByteView data);
+  /// Serialize().size(), counted without serializing.
+  std::size_t ByteSize() const;
   Hash256 Hash() const;
 
   /// The validity check miners, full nodes, and the enclave all run.
@@ -97,8 +99,9 @@ struct Block {
   Bytes Serialize() const;
   static Result<Block> Deserialize(ByteView data);
 
-  /// Total serialized size — what a full node stores per block.
-  std::size_t ByteSize() const { return Serialize().size(); }
+  /// Total serialized size — what a full node stores per block, and the
+  /// block's share of an Ecall's input. Counted without serializing.
+  std::size_t ByteSize() const;
 };
 
 /// Fixed serialized size of a header (all fields are fixed width).

@@ -39,11 +39,12 @@ Status FullNode::CheckExtendsTip(const BlockHeader& hdr) const {
 }
 
 Status FullNode::ApplyIfRootMatches(const Block& block, const StateMap& writes) {
-  // Predict the post-state root statelessly before touching the StateDB.
-  if (PredictRootAfterWrites(state_, writes) != block.header.state_root) {
+  StateMap prior;  // apply, compare, and restore the touched keys on a mismatch
+  state_.ApplyWrites(writes, &prior);
+  if (state_.Root() != block.header.state_root) {
+    state_.ApplyWrites(prior);
     return Status::Error("state root mismatch after execution");
   }
-  state_.ApplyWrites(writes);
   blocks_.push_back(block);
   return Status::Ok();
 }
@@ -113,14 +114,13 @@ Result<Block> Miner::MineBlock(std::vector<Transaction> txs,
   auto executed = ExecuteBlockTxs(txs, node_->Registry(), node_->State());
   if (!executed) return R(executed.status().WithContext("mining execution"));
 
-  Hash256 new_root = PredictRootAfterWrites(node_->State(), executed.value().writes);
-
   Block block;
   block.header.prev_hash = node_->Tip().header.Hash();
   block.header.height = node_->Height() + 1;
   block.header.timestamp = timestamp;
   block.header.difficulty_bits = node_->Config().difficulty_bits;
-  block.header.state_root = new_root;
+  block.header.state_root =
+      PredictRootAfterWrites(node_->State(), executed.value().writes);
   block.header.tx_root = Block::ComputeTxRoot(txs);
   block.txs = std::move(txs);
   MineNonce(block.header);

@@ -53,7 +53,8 @@ class FullNode {
   /// verifier it trusts — the CI once its enclave has checked and signed the
   /// block (consensus, tx root, signatures, replay) — applying `writes`
   /// instead of re-executing. Checks header linkage and that `writes` take
-  /// the state to the header's state root; on a mismatch nothing is applied.
+  /// the state to the header's state root; on a mismatch the state is left
+  /// exactly as it was (the touched keys are restored).
   Status AppendExecuted(const Block& block, const StateMap& writes);
 
   /// Re-bases a node still at genesis onto a state snapshot: after this the
@@ -71,7 +72,8 @@ class FullNode {
 
  private:
   Status CheckExtendsTip(const BlockHeader& hdr) const;
-  /// Applies `writes` and appends `block` when they reach its state root.
+  /// Applies `writes` and appends `block` when they reach its state root;
+  /// otherwise restores the touched keys' prior values.
   Status ApplyIfRootMatches(const Block& block, const StateMap& writes);
 
   ChainConfig config_;

@@ -46,9 +46,10 @@ void AppendKeys(const StateMap& map, std::vector<StateKey>& out) {
   for (const auto& [key, value] : map) out.push_back(key);
 }
 
-void StateDB::ApplyWrites(const StateMap& writes) {
+void StateDB::ApplyWrites(const StateMap& writes, StateMap* prior) {
   std::map<Hash256, Hash256> leaves;
   for (const auto& [key, value] : writes) {
+    if (prior != nullptr) prior->emplace_hint(prior->end(), key, Load(key));
     if (value == 0) {
       values_.erase(key);
     } else {

@@ -44,7 +44,10 @@ class StateDB final : public StateReader {
  public:
   std::uint64_t Load(const StateKey& key) const override;
   void Store(const StateKey& key, std::uint64_t value);
-  void ApplyWrites(const StateMap& writes);
+  /// Applies `writes` in one bulk SMT pass. With `prior`, also records each
+  /// written key's value before the call (0 when unset): applying `prior`
+  /// afterwards restores the values, the size and the root exactly.
+  void ApplyWrites(const StateMap& writes, StateMap* prior = nullptr);
 
   /// Every set (non-zero) key -> value, in key order: the canonical snapshot
   /// a checkpoint serializes. Rebuilding a StateDB via ApplyWrites(Snapshot())
@@ -64,8 +67,9 @@ class StateDB final : public StateReader {
 
 /// Stateless prediction of the SMT root after applying `writes` to `db`
 /// (proof + recompute, without touching `db`). Exactly what the enclave does
-/// with an update proof, so a full node can cross-check a block's claimed
-/// state root before mutating its StateDB.
+/// with an update proof; for callers that must not change `db` (a miner
+/// deriving its header's state root). A full node committing a block applies
+/// the writes and compares instead, which costs one tree pass, not two.
 Hash256 PredictRootAfterWrites(const StateDB& db, const StateMap& writes);
 
 /// StateReader over a verified read set (the enclave's view during replay).

@@ -127,7 +127,7 @@ Status CheckpointedIssuer::AdvanceShadowTo(std::uint64_t height) {
   for (; shadow_next_ <= height; ++shadow_next_) {
     auto blk = inner_.Blocks().Get(shadow_next_);
     if (!blk) return blk.status().WithContext("shadow index catch-up");
-    (void)shadow_.ApplyBlockCapturingAux(blk.value());  // aux proofs unused
+    shadow_.ApplyBlock(blk.value());
   }
   return Status::Ok();
 }
@@ -185,7 +185,7 @@ Status CheckpointedIssuer::WriteCheckpointNow() {
 Status CheckpointedIssuer::CertifyBlock(const chain::Block& blk) {
   if (Status st = inner_.CertifyBlock(blk); !st) return st;
   if (ShadowActive() && blk.header.height == shadow_next_) {
-    (void)shadow_.ApplyBlockCapturingAux(blk);
+    shadow_.ApplyBlock(blk);
     ++shadow_next_;
   }
   return MaybeCheckpoint();

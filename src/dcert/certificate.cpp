@@ -48,19 +48,8 @@ Hash256 KeyBindingReportData(const crypto::PublicKey& pk_enc) {
 
 Status VerifyCertificateEnvelope(const BlockCertificate& cert,
                                  const Hash256& expected_measurement) {
-  if (Status st = sgxsim::AttestationService::VerifyReport(cert.report); !st) {
-    return st;
-  }
-  if (cert.report.quote.measurement != expected_measurement) {
-    return Status::Error("certificate enclave measurement mismatch");
-  }
-  if (cert.report.quote.report_data != KeyBindingReportData(cert.pk_enc)) {
-    return Status::Error("enclave key does not match the attestation report");
-  }
-  if (!crypto::Verify(cert.pk_enc, cert.digest, cert.sig)) {
-    return Status::Error("certificate signature invalid");
-  }
-  return Status::Ok();
+  const BlockCertificate* one = &cert;
+  return VerifyCertificateEnvelopesBatch(&one, 1, expected_measurement)[0];
 }
 
 std::vector<Status> VerifyCertificateEnvelopesBatch(
@@ -77,8 +66,8 @@ std::vector<Status> VerifyCertificateEnvelopesBatch(
   }
   std::vector<bool> sig_ok = crypto::VerifyBatch(jobs.data(), jobs.size());
 
-  // Same check cascade (and messages) as VerifyCertificateEnvelope, with the
-  // signature verdicts read from the batch.
+  // The check cascade of cert_verify_t, with the signature verdicts read
+  // from the batch.
   std::vector<Status> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -45,18 +45,20 @@ Hash256 KeyBindingReportData(const crypto::PublicKey& pk_enc);
 ///  (ii)  rep's measurement equals `expected_measurement`;
 ///  (iii) pk_enc matches rep's bound key;
 ///  (iv)  sig verifies dig under pk_enc.
-/// The caller then compares cert.digest against its expected value.
-Status VerifyCertificateEnvelope(const BlockCertificate& cert,
-                                 const Hash256& expected_measurement);
-
-/// Batched VerifyCertificateEnvelope: structural checks run per certificate,
-/// while every signature in the batch (the IAS report signature and the
-/// enclave digest signature of each cert) goes through one
-/// crypto::VerifyBatch — the n IAS checks share a single point term. The
-/// returned statuses (order, messages) are exactly what the single-cert call
-/// would produce for each certificate.
+/// The first failing check names the error. The caller then compares
+/// cert.digest against its expected value.
+///
+/// Every signature of the n certificates (the IAS report signature and the
+/// enclave digest signature of each) goes through one crypto::VerifyBatch —
+/// the n IAS checks share a single point term — and the structural checks
+/// run per certificate. Returns one status per certificate, in order.
 std::vector<Status> VerifyCertificateEnvelopesBatch(
     const BlockCertificate* const* certs, std::size_t n,
     const Hash256& expected_measurement);
+
+/// VerifyCertificateEnvelopesBatch on one certificate (its two signatures
+/// in one batch).
+Status VerifyCertificateEnvelope(const BlockCertificate& cert,
+                                 const Hash256& expected_measurement);
 
 }  // namespace dcert::core

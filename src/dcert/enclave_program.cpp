@@ -54,22 +54,13 @@ Result<CertEnclaveProgram> CertEnclaveProgram::RestoreFromSealed(
   }
 }
 
-Status CertEnclaveProgram::CertVerify(const Hash256& expected_digest,
-                                      const BlockCertificate& cert) const {
-  if (Status st = VerifyCertificateEnvelope(cert, own_measurement_); !st) {
-    return st.WithContext("cert_verify_t");
-  }
-  if (cert.digest != expected_digest) {
-    return Status::Error("cert_verify_t: certificate digest mismatch");
-  }
-  return Status::Ok();
-}
-
 Status CertEnclaveProgram::VerifyPrev(
     const chain::BlockHeader& prev_hdr,
     const std::optional<BlockCertificate>& prev_cert,
     const std::optional<Hash256>& prev_idx_digest,
-    const std::optional<Hash256>& genesis_idx_digest) const {
+    const std::optional<Hash256>& genesis_idx_digest,
+    std::optional<CertCheck> also) const {
+  std::vector<CertCheck> checks;
   if (prev_hdr.height == 0) {
     // Genesis is deterministic: no certificate needed (Alg. 2 lines 3-4).
     if (prev_hdr.Hash() != config_.genesis_hash) {
@@ -79,15 +70,27 @@ Status CertEnclaveProgram::VerifyPrev(
         *prev_idx_digest != genesis_idx_digest.value_or(Hash256())) {
       return Status::Error("previous index digest does not match its genesis");
     }
-    return Status::Ok();
-  }
-  if (!prev_cert.has_value()) {
+  } else if (!prev_cert.has_value()) {
     return Status::Error("missing certificate for non-genesis previous block");
+  } else {
+    checks.push_back({&*prev_cert, prev_idx_digest.has_value()
+                                       ? IndexCertDigest(prev_hdr.Hash(),
+                                                         *prev_idx_digest)
+                                       : prev_hdr.Hash()});
   }
-  Hash256 expected = prev_idx_digest.has_value()
-                         ? IndexCertDigest(prev_hdr.Hash(), *prev_idx_digest)
-                         : prev_hdr.Hash();
-  return CertVerify(expected, *prev_cert);
+  if (also) checks.push_back(*also);
+  // cert_verify_t: every envelope signature in one batch, verdicts in order.
+  std::vector<const BlockCertificate*> certs;
+  for (const CertCheck& c : checks) certs.push_back(c.cert);
+  std::vector<Status> env = VerifyCertificateEnvelopesBatch(
+      certs.data(), certs.size(), own_measurement_);
+  for (std::size_t i = 0; i < checks.size(); ++i) {
+    if (!env[i]) return env[i].WithContext("cert_verify_t");
+    if (checks[i].cert->digest != checks[i].digest) {
+      return Status::Error("cert_verify_t: certificate digest mismatch");
+    }
+  }
+  return Status::Ok();
 }
 
 Status CertEnclaveProgram::BlkVerify(const chain::BlockHeader& prev_hdr,
@@ -150,9 +153,7 @@ Result<crypto::Signature> CertEnclaveProgram::SigGen(
     const std::optional<BlockCertificate>& prev_cert, const chain::Block& new_blk,
     const StateUpdateProof& update_proof) const {
   using R = Result<crypto::Signature>;
-  if (Status st = VerifyPrev(prev_hdr, prev_cert, std::nullopt, std::nullopt); !st) {
-    return R(st);
-  }
+  if (Status st = VerifyPrev(prev_hdr, prev_cert); !st) return R(st);
   if (Status st = BlkVerify(prev_hdr, new_blk, update_proof); !st) return R(st);
   return signing_key_.Sign(new_blk.header.Hash());
 }
@@ -167,9 +168,7 @@ Result<crypto::Signature> CertEnclaveProgram::SigGenSpan(
   if (blocks.size() != update_proofs.size()) {
     return R::Error("SigGenSpan: one update proof per block required");
   }
-  if (Status st = VerifyPrev(prev_hdr, prev_cert, std::nullopt, std::nullopt); !st) {
-    return R(st);
-  }
+  if (Status st = VerifyPrev(prev_hdr, prev_cert); !st) return R(st);
   const chain::BlockHeader* prev = &prev_hdr;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     if (Status st = BlkVerify(*prev, blocks[i], update_proofs[i]); !st) {
@@ -213,14 +212,15 @@ Result<crypto::Signature> CertEnclaveProgram::IndexSigGen(
     const BlockCertificate& block_cert, const IndexUpdateVerifier& verifier,
     ByteView index_aux_proof, Hash256& new_idx_digest_out) const {
   using R = Result<crypto::Signature>;
-  // Alg. 5 lines 5-9: previous index certificate (or genesis digests).
+  // Alg. 5 lines 5-10: the previous index certificate (or genesis digests),
+  // then the block certificate, which replaces re-execution; their four
+  // signatures verify in one batch.
   if (Status st = VerifyPrev(prev_hdr, prev_idx_cert, prev_idx_digest,
-                             verifier.GenesisDigest());
+                             verifier.GenesisDigest(),
+                             CertCheck{&block_cert, new_blk.header.Hash()});
       !st) {
     return R(st);
   }
-  // Line 10: the block certificate replaces re-execution.
-  if (Status st = CertVerify(new_blk.header.Hash(), block_cert); !st) return R(st);
   // Linkage between the two certified headers.
   if (new_blk.header.prev_hash != prev_hdr.Hash() ||
       new_blk.header.height != prev_hdr.height + 1) {

@@ -103,18 +103,23 @@ class CertEnclaveProgram {
   const EnclaveConfig& Config() const { return config_; }
 
  private:
-  /// cert_verify_t: envelope checks + digest comparison.
-  Status CertVerify(const Hash256& expected_digest,
-                    const BlockCertificate& cert) const;
+  /// A certificate and the digest cert_verify_t requires it to sign.
+  struct CertCheck {
+    const BlockCertificate* cert;
+    Hash256 digest;
+  };
   /// blk_verify_t (Alg. 2 lines 10-24).
   Status BlkVerify(const chain::BlockHeader& prev_hdr, const chain::Block& new_blk,
                    const StateUpdateProof& update_proof) const;
-  /// Previous-block validation shared by all three entry points: genesis
-  /// check or recursive certificate check.
+  /// Previous-block validation shared by all entry points: genesis check or
+  /// recursive certificate check (cert_verify_t: envelope + digest). `also`
+  /// is one more cert_verify_t whose signatures join the same batch; the
+  /// previous block's errors come first.
   Status VerifyPrev(const chain::BlockHeader& prev_hdr,
                     const std::optional<BlockCertificate>& prev_cert,
-                    const std::optional<Hash256>& prev_idx_digest,
-                    const std::optional<Hash256>& genesis_idx_digest) const;
+                    const std::optional<Hash256>& prev_idx_digest = {},
+                    const std::optional<Hash256>& genesis_idx_digest = {},
+                    std::optional<CertCheck> also = std::nullopt) const;
 
   EnclaveConfig config_;
   std::shared_ptr<const chain::ContractRegistry> registry_;

@@ -68,10 +68,7 @@ Result<crypto::Signature> NaiveCertEnclaveProgram::SigGen(
   // Apply-then-compare, rolling back on mismatch so a forged block cannot
   // corrupt the resident state.
   chain::StateMap rollback;
-  for (const auto& [key, value] : executed.value().writes) {
-    rollback.emplace(key, state_.Load(key));
-  }
-  state_.ApplyWrites(executed.value().writes);
+  state_.ApplyWrites(executed.value().writes, &rollback);
   if (state_.Root() != hdr.state_root) {
     state_.ApplyWrites(rollback);
     return R::Error("state root mismatch after in-enclave execution");

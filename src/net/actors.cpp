@@ -147,7 +147,7 @@ void SpActor::Drain() {
   while (true) {
     auto it = pending_.find(next_height_);
     if (it == pending_.end()) break;
-    index_->ApplyBlockCapturingAux(it->second);
+    index_->ApplyBlock(it->second);
     pending_.erase(it);
     ++next_height_;
   }

@@ -47,6 +47,22 @@ Result<std::vector<AppendStep>> DeserializeSteps(ByteView data) {
   }
 }
 
+/// Appends each of the block's historical entries to its account's lower
+/// tree and puts the new lower root into the MPT. With `steps`, each entry's
+/// pre-state proofs (the MPT path, the append spine) are captured first.
+void ApplyEntries(const chain::Block& blk, mht::MptTrie& mpt,
+                  std::map<Hash256, mht::MbTree>& trees,
+                  std::vector<AppendStep>* steps) {
+  for (const HistEntry& e : ExtractHistoricalWrites(blk)) {
+    mht::MbTree& tree = trees[e.account_key];  // default-constructs when new
+    if (steps != nullptr) {
+      steps->push_back({mpt.Prove(e.account_key), tree.ProveAppend()});
+    }
+    tree.Insert(e.version, HistValueBytes(e.value_word));
+    mpt.Put(e.account_key, tree.Root());
+  }
+}
+
 }  // namespace
 
 Result<Hash256> HistoricalIndexVerifier::ApplyUpdate(const Hash256& old_digest,
@@ -86,17 +102,13 @@ Result<Hash256> HistoricalIndexVerifier::ApplyUpdate(const Hash256& old_digest,
 
 HistoricalIndex::HistoricalIndex(std::string id) : id_(std::move(id)) {}
 
+void HistoricalIndex::ApplyBlock(const chain::Block& blk) {
+  ApplyEntries(blk, mpt_, trees_, nullptr);
+}
+
 Bytes HistoricalIndex::ApplyBlockCapturingAux(const chain::Block& blk) {
   std::vector<AppendStep> steps;
-  for (const HistEntry& e : ExtractHistoricalWrites(blk)) {
-    AppendStep step;
-    step.mpt_proof = mpt_.Prove(e.account_key);
-    mht::MbTree& tree = trees_[e.account_key];  // default-constructs when new
-    step.spine = tree.ProveAppend();
-    tree.Insert(e.version, HistValueBytes(e.value_word));
-    mpt_.Put(e.account_key, tree.Root());
-    steps.push_back(std::move(step));
-  }
+  ApplyEntries(blk, mpt_, trees_, &steps);
   return SerializeSteps(steps);
 }
 

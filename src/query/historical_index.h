@@ -62,6 +62,10 @@ class HistoricalIndex final : public core::CertifiedIndexHost {
   const core::IndexUpdateVerifier& Verifier() const override { return verifier_; }
   Hash256 CurrentDigest() const override { return mpt_.Root(); }
   Bytes ApplyBlockCapturingAux(const chain::Block& blk) override;
+  /// ApplyBlockCapturingAux without the aux proofs: for holders that only
+  /// serve or snapshot the index (an SP, a checkpoint shadow). Reaches the
+  /// same digest and content through the same per-entry loop.
+  void ApplyBlock(const chain::Block& blk);
 
   /// Authenticated query: versions of `account_word` written in blocks
   /// [from_height, to_height].

@@ -362,7 +362,7 @@ Status SpServer::RehydrateRange(const chain::BlockStore& blocks,
         return env[h - chunk].WithContext("rehydrate height " +
                                           std::to_string(h));
       }
-      index_.ApplyBlockCapturingAux(blk.value());
+      index_.ApplyBlock(blk.value());
       TipInfo tip;
       tip.header = hdr;
       tip.block_cert = cert;
@@ -555,7 +555,7 @@ Status SpServer::AnnounceLocked(const AnnounceRequest& req) {
     } else {
       wrote_in_shard = true;  // unsharded servers own everything
     }
-    index_.ApplyBlockCapturingAux(r.block);
+    index_.ApplyBlock(r.block);
     if (index_.CurrentDigest() != r.index_digest) {
       // The CI certified a different index content than this block produces
       // — the announcement stream is inconsistent; the live index is now

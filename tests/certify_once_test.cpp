@@ -2,17 +2,26 @@
 // (VerifyTxSignatures) agrees with per-tx verification, signatures are
 // enforced on every trusted and validating path although the CI's host
 // pre-processing skips them, the CI commits the prepared write set through
-// FullNode::AppendExecuted, and block bodies are shared between copies.
+// FullNode::AppendExecuted (apply, compare, roll back on a mismatch), block
+// bodies are shared between copies, IndexSigGen checks its two certificates
+// in one signature batch with the sequential error order, an SP's
+// HistoricalIndex::ApplyBlock matches the aux-capturing apply, and an
+// Ecall's input bytes are the serialized sizes.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <string>
 
 #include "chain/consensus.h"
 #include "common/rng.h"
+#include "crypto/sha256.h"
 #include "dcert/certificate.h"
 #include "dcert/issuer.h"
 #include "dcert/naive_enclave.h"
+#include "dcert/update_proof.h"
+#include "obs/metrics.h"
+#include "query/extraction.h"
 #include "query/historical_index.h"
 #include "workloads/workloads.h"
 
@@ -339,6 +348,35 @@ TEST(CertifyOnceTest, EveryValidatingPathRejectsBadSignatureBlock) {
 
 // --- committing the prepared write set --------------------------------------
 
+/// Everything a refused commit must leave as it was.
+struct NodeSnapshot {
+  std::uint64_t height;
+  Hash256 tip_hash;
+  Hash256 root;
+  std::size_t size;
+  chain::StateMap state;
+
+  static NodeSnapshot Of(const chain::FullNode& node) {
+    return {node.Height(), node.Tip().header.Hash(), node.State().Root(),
+            node.State().Size(), node.State().Snapshot()};
+  }
+
+  /// Also compares Load on `touched`, which may name keys the state lacks.
+  void ExpectSame(const chain::FullNode& node,
+                  const chain::StateMap& touched) const {
+    const NodeSnapshot now = Of(node);
+    EXPECT_EQ(now.height, height);
+    EXPECT_EQ(now.tip_hash, tip_hash);
+    EXPECT_EQ(now.root, root);
+    EXPECT_EQ(now.size, size);
+    EXPECT_EQ(now.state, state);
+    for (const auto& [key, value] : touched) {
+      auto it = state.find(key);
+      EXPECT_EQ(node.State().Load(key), it == state.end() ? 0u : it->second);
+    }
+  }
+};
+
 TEST(FullNodeAppendTest, AppendExecutedRefusesMismatchedWritesAndAppliesNothing) {
   Rig rig(/*with_index=*/false);
   chain::Block b1 = rig.MineNext();
@@ -361,7 +399,8 @@ TEST(FullNodeAppendTest, AppendExecutedRefusesMismatchedWritesAndAppliesNothing)
   EXPECT_FALSE(node.AppendExecuted(b1, {}).ok());
   EXPECT_EQ(node.Height(), 0u);
   EXPECT_EQ(node.State().Root(), root0);
-  for (const auto& [key, value] : writes) EXPECT_EQ(node.State().Load(key), 0u);
+  EXPECT_EQ(node.State().Size(), 0u);
+  for (const auto& [key, value] : extra) EXPECT_EQ(node.State().Load(key), 0u);
 
   // A block that does not extend the tip: refused.
   chain::Block unlinked = b1;
@@ -376,6 +415,232 @@ TEST(FullNodeAppendTest, AppendExecutedRefusesMismatchedWritesAndAppliesNothing)
   chain::FullNode full(rig.config, rig.registry);
   ASSERT_TRUE(full.SubmitBlock(b1).ok());
   EXPECT_EQ(full.State().Snapshot(), node.State().Snapshot());
+
+  // Past genesis, a mismatched write set that changes a key, erases a held
+  // key (a write of 0) and creates a key is rolled back exactly.
+  chain::Block b2 = rig.MineNext();
+  auto exec2 = chain::ExecuteBlockTxs(b2.txs, node.Registry(), node.State());
+  ASSERT_TRUE(exec2.ok()) << exec2.message();
+  const chain::StateMap& writes2 = exec2.value().writes;
+  const NodeSnapshot before = NodeSnapshot::Of(node);
+  ASSERT_GE(before.state.size(), 2u);
+  chain::StateMap wrong2 = writes2;
+  wrong2.begin()->second += 1;
+  wrong2[std::prev(before.state.end())->first] = 0;
+  wrong2[chain::SlotKey(424242, 2)] = 9;
+  st = node.AppendExecuted(b2, wrong2);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.message(), "state root mismatch after execution");
+  before.ExpectSame(node, wrong2);
+  // Erasing alone is rolled back too.
+  chain::StateMap erase_only{{before.state.begin()->first, 0}};
+  EXPECT_FALSE(node.AppendExecuted(b2, erase_only).ok());
+  before.ExpectSame(node, erase_only);
+
+  // The same through SubmitBlock: a block whose header claims another state
+  // root executes, mismatches and leaves the node as it was.
+  chain::Block lying = b2;
+  lying.header.state_root = root0;
+  chain::MineNonce(lying.header);
+  st = node.SubmitBlock(lying);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.message(), "state root mismatch after execution");
+  before.ExpectSame(node, writes2);
+
+  // The next valid block still appends, and so does the one after it.
+  ASSERT_TRUE(node.AppendExecuted(b2, writes2).ok());
+  EXPECT_EQ(node.State().Root(), b2.header.state_root);
+  ASSERT_TRUE(full.SubmitBlock(b2).ok());
+  EXPECT_EQ(full.State().Snapshot(), node.State().Snapshot());
+  chain::Block b3 = rig.MineNext();
+  ASSERT_TRUE(node.SubmitBlock(b3).ok());
+  EXPECT_EQ(node.Height(), 3u);
+}
+
+// --- IndexSigGen: two certificates, one signature batch ----------------------
+
+/// Everything IndexSigGen needs to certify the index over block 2 of a rig
+/// chain: the previous index certificate (block 1), block 2's certificate
+/// and the aux proof, plus a program with the CI's key.
+struct IndexStep {
+  Rig rig{/*with_index=*/true};
+  crypto::SecretKey key = crypto::SecretKey::FromSeed(StrBytes("dcert-ci-key"));
+  chain::Block b1, b2;
+  IndexCertificate prev_icert;
+  Hash256 prev_digest;
+  BlockCertificate block_cert;
+  Bytes aux;
+  std::unique_ptr<CertEnclaveProgram> program;
+
+  IndexStep() {
+    b1 = rig.MineNext();
+    rig.Submit(b1);
+    auto icerts = rig.ci->ProcessBlockHierarchical(b1);
+    if (!icerts.ok()) throw std::runtime_error(icerts.message());
+    prev_icert = icerts.value().at(0);
+    prev_digest = rig.index->CurrentDigest();
+    b2 = rig.MineNext();
+    block_cert = Cert(b2.header.Hash());
+    query::HistoricalIndex shadow;
+    shadow.ApplyBlock(b1);
+    aux = shadow.ApplyBlockCapturingAux(b2);
+    EnclaveConfig ec;
+    ec.genesis_hash = chain::MakeGenesisBlock(rig.config).header.Hash();
+    ec.registry_digest = rig.registry->Digest();
+    ec.difficulty_bits = rig.config.difficulty_bits;
+    program = std::make_unique<CertEnclaveProgram>(ec, rig.registry,
+                                                   StrBytes("dcert-ci-key"));
+  }
+
+  /// A certificate over `digest` from the CI's enclave.
+  BlockCertificate Cert(const Hash256& digest) const {
+    BlockCertificate c;
+    c.pk_enc = key.Public();
+    c.report = rig.ci->Report();
+    c.digest = digest;
+    c.sig = key.Sign(digest);
+    return c;
+  }
+
+  Status Run(const IndexCertificate& prev, const BlockCertificate& blk) const {
+    Hash256 out;
+    return program
+        ->IndexSigGen(b1.header, prev, prev_digest, b2, blk,
+                      rig.index->Verifier(), aux, out)
+        .status();
+  }
+};
+
+/// One faulted field of a certificate and the refusal it must produce.
+struct EnvelopeFault {
+  const char* field;
+  std::string message;
+  std::function<void(const IndexStep&, BlockCertificate&)> apply;
+};
+
+std::vector<EnvelopeFault> EnvelopeFaults() {
+  const auto bump = [](crypto::Signature& sig) {
+    sig.s = crypto::Curve().Fn().Add(sig.s, crypto::U256(1));
+  };
+  return {
+      {"IAS signature", "cert_verify_t: attestation report is not signed by the IAS",
+       [bump](const IndexStep&, BlockCertificate& c) { bump(c.report.ias_signature); }},
+      {"cert signature", "cert_verify_t: certificate signature invalid",
+       [bump](const IndexStep&, BlockCertificate& c) { bump(c.sig); }},
+      {"measurement", "cert_verify_t: certificate enclave measurement mismatch",
+       [](const IndexStep&, BlockCertificate& c) {
+         c.report = sgxsim::AttestationService::Attest(
+             sgxsim::Enclave("other-enclave", kEnclaveProgramVersion)
+                 .MakeQuote(KeyBindingReportData(c.pk_enc)));
+       }},
+      {"key binding",
+       "cert_verify_t: enclave key does not match the attestation report",
+       [](const IndexStep&, BlockCertificate& c) {
+         c.report = sgxsim::AttestationService::Attest(
+             sgxsim::Enclave(kEnclaveProgramName, kEnclaveProgramVersion)
+                 .MakeQuote(KeyBindingReportData(
+                     crypto::SecretKey::FromSeed(StrBytes("other")).Public())));
+       }},
+      {"digest", "cert_verify_t: certificate digest mismatch",
+       [](const IndexStep& step, BlockCertificate& c) {
+         c = step.Cert(crypto::Sha256::Digest(StrBytes("another digest")));
+       }},
+  };
+}
+
+TEST(IndexSigGenEnvelopeTest, EachFaultedFieldIsRefusedWithTheSequentialMessage) {
+  const IndexStep step;
+  ASSERT_TRUE(step.Run(step.prev_icert, step.block_cert).ok());
+  const std::vector<EnvelopeFault> faults = EnvelopeFaults();
+  for (const EnvelopeFault& f : faults) {
+    IndexCertificate prev = step.prev_icert;
+    f.apply(step, prev);
+    Status st = step.Run(prev, step.block_cert);
+    EXPECT_EQ(st.message(), f.message) << "previous index cert, " << f.field;
+
+    BlockCertificate blk = step.block_cert;
+    f.apply(step, blk);
+    st = step.Run(step.prev_icert, blk);
+    EXPECT_EQ(st.message(), f.message) << "block cert, " << f.field;
+
+    // With both faulted, the previous index certificate's error comes first.
+    for (const EnvelopeFault& g : faults) {
+      BlockCertificate blk_g = step.block_cert;
+      g.apply(step, blk_g);
+      st = step.Run(prev, blk_g);
+      EXPECT_EQ(st.message(), f.message)
+          << "previous " << f.field << " and block " << g.field;
+    }
+  }
+}
+
+// --- HistoricalIndex::ApplyBlock vs ApplyBlockCapturingAux -------------------
+
+TEST(HistoricalApplyBlockTest, MatchesCapturingAuxOverSeededKvChain) {
+  Rig rig(/*with_index=*/false);
+  query::HistoricalIndex plain, capturing;
+  std::set<std::uint64_t> accounts;
+  constexpr std::uint64_t kBlocks = 30;
+  for (std::uint64_t h = 1; h <= kBlocks; ++h) {
+    chain::Block blk = rig.MineNext();
+    rig.Submit(blk);
+    for (const query::HistEntry& e : query::ExtractHistoricalWrites(blk)) {
+      accounts.insert(e.account_word);
+    }
+    plain.ApplyBlock(blk);
+    EXPECT_FALSE(capturing.ApplyBlockCapturingAux(blk).empty());
+    ASSERT_EQ(plain.CurrentDigest(), capturing.CurrentDigest()) << "height " << h;
+  }
+  ASSERT_GE(accounts.size(), 4u);
+  EXPECT_EQ(plain.AccountCount(), capturing.AccountCount());
+  EXPECT_EQ(plain.SerializeContent(), capturing.SerializeContent());
+
+  accounts.insert(0xabcdef);  // never written: an absence proof
+  Rng rng(2121);
+  for (std::uint64_t account : accounts) {
+    for (int q = 0; q < 4; ++q) {
+      const std::uint64_t from = 1 + rng.NextBelow(kBlocks);
+      const std::uint64_t to = from + rng.NextBelow(kBlocks - from + 1);
+      EXPECT_EQ(plain.Query(account, from, to).Serialize(),
+                capturing.Query(account, from, to).Serialize());
+      EXPECT_EQ(plain.AggregateQuery(account, from, to).Serialize(),
+                capturing.AggregateQuery(account, from, to).Serialize());
+    }
+  }
+}
+
+// --- Ecall input bytes --------------------------------------------------------
+
+TEST(EcallInputBytesTest, HierarchicalBlockCountsSerializedBlockProofAndAux) {
+  Rig rig(/*with_index=*/true);
+  auto input_bytes =
+      obs::MetricsRegistry::Global().GetCounter("sgx.ecall_input_bytes");
+  query::HistoricalIndex shadow;
+  for (int i = 0; i < 4; ++i) {
+    chain::Block blk = rig.MineNext();
+    rig.Submit(blk);
+    EXPECT_EQ(blk.ByteSize(), blk.Serialize().size());
+    const chain::StateDB& pre = rig.ci->Node().State();
+    auto exec = chain::ExecuteBlockTxsUnchecked(blk.txs, *rig.registry, pre);
+    ASSERT_TRUE(exec.ok()) << exec.message();
+    const StateUpdateProof proof =
+        BuildStateUpdateProof(exec.value().reads, exec.value().writes, pre);
+    const std::size_t aux_bytes = shadow.ApplyBlockCapturingAux(blk).size();
+
+    // SigGen gets the block and its update proof; IndexSigGen the block and
+    // the index aux proof. The proof counts as its ByteSize(), which leaves
+    // out the three u32 length prefixes of its serialization (12 bytes).
+    const std::size_t proof_bytes = proof.ByteSize();
+    ASSERT_EQ(proof.Serialize().size(), proof_bytes + 12);
+    const std::uint64_t before = input_bytes->Value();
+    ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(blk).ok());
+    EXPECT_EQ(input_bytes->Value() - before,
+              2 * blk.Serialize().size() + proof_bytes + aux_bytes)
+        << "height " << blk.header.height;
+  }
+  chain::Block empty = rig.MineNext();
+  empty.txs = std::vector<chain::Transaction>{};
+  EXPECT_EQ(empty.ByteSize(), empty.Serialize().size());
 }
 
 }  // namespace

@@ -121,17 +121,21 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZ
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target \
   svc_test net_test thread_pool_test fleet_test obs_test record_log_test \
   crash_recovery_test ckpt_test chaos_test common_test dcert_test \
-  dcertctl cli_test
+  dcertctl cli_test certify_once_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|Cli'
+  -R 'Serialize|Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|Cli|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes'
   # Serialize covers the strict field decoders every wire codec sits on.
   # Cli runs the ASan-built dcertctl, including `serve` answering
   # `query tip|hist|agg` over TCP, so the tool's socket path is covered.
   # The checkpoint legs under ASan pin the mmap'd sealed-segment reads and
   # the serialize/deserialize buffer handling in the .dcp codec; the soak's
   # torn-seal site leaves half-written tmp files for Open() to clean up.
+  # FullNodeAppend runs the commit rollback (the SMT nodes a refused write
+  # set creates and frees), IndexSigGenEnvelope the batched certificate
+  # checks over faulted fields, HistoricalApplyBlock the SP's index apply
+  # against the aux-capturing one, EcallInputBytes the byte counts.
 
 echo "=== [4/5] TSan + forced-scalar hashing (dispatch fallback path) ==="
 # Same TSan build, but every digest takes the portable scalar road. The
@@ -147,10 +151,10 @@ echo "=== [5/5] UBSan build + SIMD/crypto/tree tests ==="
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target \
   sha256_test signature_test secp256k1_test smt_test merkle_tree_test \
-  mbtree_test common_test dcert_test svc_test fleet_test
+  mbtree_test common_test dcert_test svc_test fleet_test certify_once_test
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight|Fleet|ShardMap'
+  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight|Fleet|ShardMap|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes'
   # Sha256BatchTest exercises every supported multi-buffer backend (AVX2
   # lane loads, SHA-NI interleaves); VerifyBatchTest covers the combined
   # verification equation; ArenaTest covers the placement-new pool.
@@ -158,6 +162,8 @@ ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   # replies carry the tip or its key) over truncated and padded frames.
   # Superlight runs the IAS-signature binding over every flipped signature
   # bit. Fleet and ShardMap run the fleet client's tip memo, failover and
-  # the shard arithmetic.
+  # the shard arithmetic. The certify_once selection (as under ASan) runs
+  # the commit rollback, the four-signature IndexSigGen batch and the SP's
+  # ApplyBlock.
 
 echo "CI OK"
