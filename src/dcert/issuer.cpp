@@ -83,17 +83,27 @@ Result<CertificateIssuer> CertificateIssuer::Restore(
 
 void CertificateIssuer::AttachIndex(std::shared_ptr<CertifiedIndexHost> index) {
   if (!index) throw std::invalid_argument("AttachIndex: null index");
+  if (FindSlot(index->Id()) != nullptr) {
+    throw std::invalid_argument("AttachIndex: index id already attached: " +
+                                index->Id());
+  }
   IndexSlot slot;
   slot.digest = index->Verifier().GenesisDigest();
   slot.host = std::move(index);
   indexes_.push_back(std::move(slot));
 }
 
-const std::optional<IndexCertificate>& CertificateIssuer::LatestIndexCert(
+const CertificateIssuer::IndexSlot* CertificateIssuer::FindSlot(
     const std::string& id) const {
   for (const IndexSlot& slot : indexes_) {
-    if (slot.host->Id() == id) return slot.cert;
+    if (slot.host->Id() == id) return &slot;
   }
+  return nullptr;
+}
+
+const std::optional<IndexCertificate>& CertificateIssuer::LatestIndexCert(
+    const std::string& id) const {
+  if (const IndexSlot* slot = FindSlot(id)) return slot->cert;
   throw std::out_of_range("LatestIndexCert: unknown index id: " + id);
 }
 
@@ -131,6 +141,45 @@ Result<CertificateIssuer::Prepared> CertificateIssuer::Prepare(
   return prepared;
 }
 
+template <typename F>
+auto CertificateIssuer::RunEcall(std::uint64_t input_bytes, F&& fn)
+    -> decltype(fn()) {
+  const sgxsim::CostAccounting before = enclave_.Costs();
+  auto result = enclave_.Ecall(input_bytes, std::forward<F>(fn));
+  const sgxsim::CostAccounting& after = enclave_.Costs();
+  const std::uint64_t wall_ns = after.wall_ns() - before.wall_ns();
+  timing_.enclave_wall_ns += wall_ns;
+  timing_.enclave_modeled_ns +=
+      after.ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
+  timing_.ecalls += 1;
+  CiMetrics::Get().enclave_ns->Record(wall_ns);
+  return result;
+}
+
+std::vector<Bytes> CertificateIssuer::CaptureAux(std::span<const IndexSlot> slots,
+                                                 const chain::Block& blk) {
+  if (slots.empty()) return {};
+  std::vector<Bytes> auxes(slots.size());
+  Stopwatch aux_watch;
+  common::ThreadPool::Shared().ParallelFor(slots.size(), [&](std::size_t i) {
+    auxes[i] = slots[i].host->ApplyBlockCapturingAux(blk);
+  });
+  const std::uint64_t aux_ns = aux_watch.ElapsedNs();
+  timing_.index_aux_ns += aux_ns;
+  CiMetrics::Get().index_aux_ns->Record(aux_ns);
+  return auxes;
+}
+
+Result<crypto::Signature> CertificateIssuer::IndexEcall(
+    const IndexSlot& slot, const chain::Block& blk,
+    const chain::BlockHeader& prev_hdr, const BlockCertificate& block_cert,
+    ByteView aux, Hash256& digest) {
+  return RunEcall(blk.ByteSize() + aux.size(), [&] {
+    return program_.IndexSigGen(prev_hdr, slot.cert, slot.digest, blk, block_cert,
+                                slot.host->Verifier(), aux, digest);
+  });
+}
+
 BlockCertificate CertificateIssuer::AssembleCert(
     const Hash256& digest, const crypto::Signature& sig) const {
   BlockCertificate cert;
@@ -142,7 +191,9 @@ BlockCertificate CertificateIssuer::AssembleCert(
 }
 
 Status CertificateIssuer::Commit(const chain::Block& blk,
-                                 const chain::StateMap* verified_writes) {
+                                 const chain::StateMap* verified_writes,
+                                 const std::optional<BlockCertificate>& cert,
+                                 std::vector<IndexSlot> slots) {
   Stopwatch commit_watch;
   Status st = verified_writes != nullptr
                   ? node_.AppendExecuted(blk, *verified_writes)
@@ -151,42 +202,102 @@ Status CertificateIssuer::Commit(const chain::Block& blk,
   timing_.commit_ns += commit_ns;
   CiMetrics::Get().commit_ns->Record(commit_ns);
   if (!st) return st.WithContext("commit");
+  if (cert) {
+    latest_cert_ = cert;
+    block_certs_.push_back(*cert);
+  } else {
+    block_certs_.clear();
+  }
+  if (!slots.empty()) indexes_ = std::move(slots);
   return Status::Ok();
+}
+
+Result<std::vector<IndexCertificate>> CertificateIssuer::Certify(
+    const chain::Block& blk, Scheme scheme) {
+  using R = Result<std::vector<IndexCertificate>>;
+  timing_ = CertTiming{};
+  timing_.blocks = 1;
+
+  // Prepare.
+  if (Status st = CheckExtendsTip(blk); !st) return R(st);
+  for (const IndexSlot& slot : indexes_) {
+    if (slot.host->CurrentDigest() != slot.digest) {
+      return R::Error("live index is not at its certified digest: " +
+                      slot.host->Id());
+    }
+  }
+  auto prepared = Prepare(blk);
+  if (!prepared) return R(prepared.status());
+  const Prepared& p = prepared.value();
+  const chain::BlockHeader prev_hdr = node_.Tip().header;
+
+  // Ecalls. Alg. 5 line 1 (and Alg. 1): the block certificate.
+  std::optional<BlockCertificate> block_cert;
+  if (scheme == Scheme::kHierarchical) {
+    common::CrashPoints::Global().Hit("issuer.process.ecall");
+    auto sig = RunEcall(p.input_bytes, [&] {
+      return program_.SigGen(prev_hdr, latest_cert_, blk, p.proof);
+    });
+    if (!sig) return R(sig.status().WithContext("ecall_sig_gen"));
+    block_cert = AssembleCert(blk.header.Hash(), sig.value());
+  }
+  // Alg. 5 lines 2-18 / Alg. 4: every index's aux capture, then one Ecall
+  // per index in attachment order (the enclave stays strictly serial).
+  const std::vector<Bytes> auxes = CaptureAux(indexes_, blk);
+  std::vector<IndexSlot> updated;
+  std::vector<IndexCertificate> certs;
+  for (std::size_t i = 0; i < indexes_.size(); ++i) {
+    const IndexSlot& slot = indexes_[i];
+    Hash256 digest;
+    auto sig =
+        block_cert
+            ? IndexEcall(slot, blk, prev_hdr, *block_cert, auxes[i], digest)
+            : RunEcall(p.input_bytes + auxes[i].size(), [&] {
+                return program_.AugmentedSigGen(prev_hdr, slot.cert, slot.digest,
+                                                blk, p.proof,
+                                                slot.host->Verifier(), auxes[i],
+                                                digest);
+              });
+    const std::string id = slot.host->Id();
+    if (!sig) {
+      return R(sig.status().WithContext(
+          (block_cert ? "index ecall for " : "augmented ecall for ") + id));
+    }
+    if (slot.host->CurrentDigest() != digest) {
+      return R::Error("live index diverged from certified digest: " + id);
+    }
+    certs.push_back(
+        AssembleCert(IndexCertDigest(blk.header.Hash(), digest), sig.value()));
+    updated.push_back({slot.host, digest, certs.back()});
+  }
+
+  // Commit.
+  if (Status st = Commit(blk, &p.writes, block_cert, std::move(updated)); !st) {
+    return R(st);
+  }
+  CiMetrics::Get().blocks_certified->Add(1);
+  return certs;
 }
 
 Result<BlockCertificate> CertificateIssuer::ProcessBlock(const chain::Block& blk) {
   using R = Result<BlockCertificate>;
-  timing_ = CertTiming{};
-  timing_.blocks = 1;
-  if (Status st = CheckExtendsTip(blk); !st) return R(st);
+  auto certified = Certify(blk, Scheme::kHierarchical);
+  if (!certified) return R(certified.status());
+  return *latest_cert_;
+}
 
-  auto prepared = Prepare(blk);
-  if (!prepared) return R(prepared.status());
+Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockAugmented(
+    const chain::Block& blk) {
+  using R = Result<std::vector<IndexCertificate>>;
+  if (indexes_.empty()) return R::Error("no indexes attached");
+  return Certify(blk, Scheme::kAugmented);
+}
 
-  const chain::BlockHeader prev_hdr = node_.Tip().header;
-  const std::optional<BlockCertificate> prev_cert = latest_cert_;
-
-  common::CrashPoints::Global().Hit("issuer.process.ecall");
-  const sgxsim::CostAccounting before = enclave_.Costs();
-  auto sig = enclave_.Ecall(prepared.value().input_bytes, [&] {
-    return program_.SigGen(prev_hdr, prev_cert, blk, prepared.value().proof);
-  });
-  {
-    const std::uint64_t enclave_ns = enclave_.Costs().wall_ns() - before.wall_ns();
-    timing_.enclave_wall_ns += enclave_ns;
-    CiMetrics::Get().enclave_ns->Record(enclave_ns);
-  }
-  timing_.enclave_modeled_ns +=
-      enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-  timing_.ecalls += 1;
-  if (!sig) return R(sig.status().WithContext("ecall_sig_gen"));
-
-  BlockCertificate cert = AssembleCert(blk.header.Hash(), sig.value());
-  if (Status st = Commit(blk, &prepared.value().writes); !st) return R(st);
-  latest_cert_ = cert;
-  block_certs_.push_back(cert);
-  CiMetrics::Get().blocks_certified->Add(1);
-  return cert;
+Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockHierarchical(
+    const chain::Block& blk) {
+  using R = Result<std::vector<IndexCertificate>>;
+  if (indexes_.empty()) return R::Error("no indexes attached");
+  return Certify(blk, Scheme::kHierarchical);
 }
 
 Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
@@ -199,41 +310,34 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
   const chain::BlockHeader prev_hdr = node_.Tip().header;
   const std::optional<BlockCertificate> prev_cert = latest_cert_;
 
-  // Pre-process each block against its own pre-state (the node advances
-  // between preparations, exactly as the enclave will chain them).
+  // Pre-process each block against its own pre-state, exactly as the
+  // enclave will chain them: each block but the last is committed (fully
+  // validated, no certificate of its own) before its successor's Prepare.
   std::vector<StateUpdateProof> proofs;
   std::uint64_t input_bytes = 0;
+  chain::StateMap last_writes;
   proofs.reserve(blocks.size());
-  for (const chain::Block& blk : blocks) {
-    if (Status st = CheckExtendsTip(blk); !st) return R(st);
-    auto prepared = Prepare(blk);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (i > 0) {
+      if (Status st = Commit(blocks[i - 1], nullptr, std::nullopt); !st) {
+        return R(st);
+      }
+    }
+    if (Status st = CheckExtendsTip(blocks[i]); !st) return R(st);
+    auto prepared = Prepare(blocks[i]);
     if (!prepared) return R(prepared.status());
     input_bytes += prepared.value().input_bytes;
     proofs.push_back(std::move(prepared.value().proof));
-    if (Status st = Commit(blk); !st) return R(st);
+    last_writes = std::move(prepared.value().writes);
   }
 
-  const sgxsim::CostAccounting before = enclave_.Costs();
-  auto sig = enclave_.Ecall(input_bytes, [&] {
+  auto sig = RunEcall(input_bytes, [&] {
     return program_.SigGenSpan(prev_hdr, prev_cert, blocks, proofs);
   });
-  {
-    const std::uint64_t enclave_ns = enclave_.Costs().wall_ns() - before.wall_ns();
-    timing_.enclave_wall_ns += enclave_ns;
-    CiMetrics::Get().enclave_ns->Record(enclave_ns);
-  }
-  timing_.enclave_modeled_ns +=
-      enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-  timing_.ecalls += 1;
   if (!sig) return R(sig.status().WithContext("ecall_sig_gen_span"));
-
   BlockCertificate cert = AssembleCert(blocks.back().header.Hash(), sig.value());
-  latest_cert_ = cert;
+  if (Status st = Commit(blocks.back(), &last_writes, cert); !st) return R(st);
   CiMetrics::Get().blocks_certified->Add(blocks.size());
-  // Intermediate blocks carry no certificate; record the span certificate at
-  // every covered height so backfill can still anchor to it? No — backfill
-  // requires per-block certs, so batched operation disables it (documented).
-  block_certs_.clear();
   return cert;
 }
 
@@ -269,171 +373,7 @@ Status CertificateIssuer::AcceptBlockWithCert(const chain::Block& blk,
     return Status::Error("foreign certificate does not cover this block");
   }
   // Full local validation before adopting (the CI is still a full node).
-  if (Status st = Commit(blk); !st) return st;
-  latest_cert_ = cert;
-  block_certs_.push_back(cert);
-  return Status::Ok();
-}
-
-Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockAugmented(
-    const chain::Block& blk) {
-  using R = Result<std::vector<IndexCertificate>>;
-  timing_ = CertTiming{};
-  timing_.blocks = 1;
-  if (Status st = CheckExtendsTip(blk); !st) return R(st);
-  if (indexes_.empty()) return R::Error("no indexes attached");
-
-  auto prepared = Prepare(blk);
-  if (!prepared) return R(prepared.status());
-  const chain::BlockHeader prev_hdr = node_.Tip().header;
-
-  std::vector<IndexCertificate> certs;
-  std::vector<Hash256> new_digests;
-  for (IndexSlot& slot : indexes_) {
-    Stopwatch aux_watch;
-    Bytes aux = slot.host->ApplyBlockCapturingAux(blk);
-    {
-    const std::uint64_t aux_ns = aux_watch.ElapsedNs();
-    timing_.index_aux_ns += aux_ns;
-    CiMetrics::Get().index_aux_ns->Record(aux_ns);
-  }
-
-    Hash256 new_digest;
-    const sgxsim::CostAccounting before = enclave_.Costs();
-    auto sig = enclave_.Ecall(prepared.value().input_bytes + aux.size(), [&] {
-      return program_.AugmentedSigGen(prev_hdr, slot.cert, slot.digest, blk,
-                                      prepared.value().proof,
-                                      slot.host->Verifier(), aux, new_digest);
-    });
-    timing_.enclave_wall_ns += enclave_.Costs().wall_ns() - before.wall_ns();
-    timing_.enclave_modeled_ns +=
-        enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-    timing_.ecalls += 1;
-    if (!sig) {
-      return R(sig.status().WithContext("augmented ecall for " + slot.host->Id()));
-    }
-    certs.push_back(
-        AssembleCert(IndexCertDigest(blk.header.Hash(), new_digest), sig.value()));
-    new_digests.push_back(new_digest);
-  }
-
-  if (Status st = Commit(blk, &prepared.value().writes); !st) return R(st);
-  for (std::size_t i = 0; i < indexes_.size(); ++i) {
-    indexes_[i].digest = new_digests[i];
-    indexes_[i].cert = certs[i];
-    // Sanity: the live index must land exactly on the certified digest.
-    if (indexes_[i].host->CurrentDigest() != new_digests[i]) {
-      return R::Error("live index diverged from certified digest: " +
-                      indexes_[i].host->Id());
-    }
-  }
-  CiMetrics::Get().blocks_certified->Add(1);
-  return certs;
-}
-
-Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockHierarchical(
-    const chain::Block& blk) {
-  using R = Result<std::vector<IndexCertificate>>;
-  timing_ = CertTiming{};
-  timing_.blocks = 1;
-  if (Status st = CheckExtendsTip(blk); !st) return R(st);
-  if (indexes_.empty()) return R::Error("no indexes attached");
-
-  auto prepared = Prepare(blk);
-  if (!prepared) return R(prepared.status());
-  const chain::BlockHeader prev_hdr = node_.Tip().header;
-  const std::optional<BlockCertificate> prev_cert = latest_cert_;
-
-  // Alg. 5 line 1: the block certificate, one Ecall.
-  const sgxsim::CostAccounting before_blk = enclave_.Costs();
-  auto blk_sig = enclave_.Ecall(prepared.value().input_bytes, [&] {
-    return program_.SigGen(prev_hdr, prev_cert, blk, prepared.value().proof);
-  });
-  {
-    const std::uint64_t enclave_ns =
-        enclave_.Costs().wall_ns() - before_blk.wall_ns();
-    timing_.enclave_wall_ns += enclave_ns;
-    CiMetrics::Get().enclave_ns->Record(enclave_ns);
-  }
-  timing_.enclave_modeled_ns +=
-      enclave_.Costs().ModeledEnclaveTimeNs() - before_blk.ModeledEnclaveTimeNs();
-  timing_.ecalls += 1;
-  if (!blk_sig) return R(blk_sig.status().WithContext("ecall_sig_gen"));
-  BlockCertificate block_cert = AssembleCert(blk.header.Hash(), blk_sig.value());
-
-  // Alg. 5 lines 2-18: aux-proof capture first, concurrently across the
-  // independent index hosts (index_aux_ns records the region's wall time —
-  // the actual outside-enclave cost), then one lightweight Ecall per index
-  // in attachment order (the enclave stays strictly serial).
-  std::vector<Bytes> auxes(indexes_.size());
-  Stopwatch aux_watch;
-  common::ThreadPool::Shared().ParallelFor(indexes_.size(), [&](std::size_t i) {
-    auxes[i] = indexes_[i].host->ApplyBlockCapturingAux(blk);
-  });
-  {
-    const std::uint64_t aux_ns = aux_watch.ElapsedNs();
-    timing_.index_aux_ns += aux_ns;
-    CiMetrics::Get().index_aux_ns->Record(aux_ns);
-  }
-
-  std::vector<IndexCertificate> certs;
-  for (std::size_t i = 0; i < indexes_.size(); ++i) {
-    if (Status st = CertifyIndexStepWithAux(indexes_[i], blk, prev_hdr,
-                                            block_cert, std::move(auxes[i]));
-        !st) {
-      return R(st);
-    }
-    certs.push_back(*indexes_[i].cert);
-  }
-
-  if (Status st = Commit(blk, &prepared.value().writes); !st) return R(st);
-  latest_cert_ = block_cert;
-  block_certs_.push_back(block_cert);
-  for (const IndexSlot& slot : indexes_) {
-    if (slot.host->CurrentDigest() != slot.digest) {
-      return R::Error("live index diverged from certified digest: " +
-                      slot.host->Id());
-    }
-  }
-  CiMetrics::Get().blocks_certified->Add(1);
-  return certs;
-}
-
-Status CertificateIssuer::CertifyIndexStep(IndexSlot& slot, const chain::Block& blk,
-                                           const chain::BlockHeader& prev_hdr,
-                                           const BlockCertificate& block_cert) {
-  Stopwatch aux_watch;
-  Bytes aux = slot.host->ApplyBlockCapturingAux(blk);
-  {
-    const std::uint64_t aux_ns = aux_watch.ElapsedNs();
-    timing_.index_aux_ns += aux_ns;
-    CiMetrics::Get().index_aux_ns->Record(aux_ns);
-  }
-  return CertifyIndexStepWithAux(slot, blk, prev_hdr, block_cert, std::move(aux));
-}
-
-Status CertificateIssuer::CertifyIndexStepWithAux(
-    IndexSlot& slot, const chain::Block& blk, const chain::BlockHeader& prev_hdr,
-    const BlockCertificate& block_cert, Bytes aux) {
-  Hash256 new_digest;
-  const sgxsim::CostAccounting before = enclave_.Costs();
-  auto sig = enclave_.Ecall(blk.ByteSize() + aux.size(), [&] {
-    return program_.IndexSigGen(prev_hdr, slot.cert, slot.digest, blk, block_cert,
-                                slot.host->Verifier(), aux, new_digest);
-  });
-  {
-    const std::uint64_t enclave_ns = enclave_.Costs().wall_ns() - before.wall_ns();
-    timing_.enclave_wall_ns += enclave_ns;
-    CiMetrics::Get().enclave_ns->Record(enclave_ns);
-  }
-  timing_.enclave_modeled_ns +=
-      enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-  timing_.ecalls += 1;
-  if (!sig) return sig.status().WithContext("index ecall for " + slot.host->Id());
-  slot.cert = AssembleCert(IndexCertDigest(blk.header.Hash(), new_digest),
-                           sig.value());
-  slot.digest = new_digest;
-  return Status::Ok();
+  return Commit(blk, nullptr, cert);
 }
 
 Result<IndexCertificate> CertificateIssuer::AttachIndexWithBackfill(
@@ -441,6 +381,9 @@ Result<IndexCertificate> CertificateIssuer::AttachIndexWithBackfill(
   using R = Result<IndexCertificate>;
   if (!index) throw std::invalid_argument("AttachIndexWithBackfill: null index");
   timing_ = CertTiming{};
+  if (FindSlot(index->Id()) != nullptr) {
+    return R::Error("index id already attached: " + index->Id());
+  }
   const std::uint64_t height = node_.Height();
   if (height == 0) {
     return R::Error("chain is at genesis; use AttachIndex instead");
@@ -456,12 +399,19 @@ Result<IndexCertificate> CertificateIssuer::AttachIndexWithBackfill(
   slot.host = std::move(index);
   for (std::uint64_t h = 1; h <= height; ++h) {
     const chain::Block& blk = node_.GetBlock(h);
-    const chain::BlockHeader& prev_hdr = node_.GetBlock(h - 1).header;
-    if (Status st = CertifyIndexStep(slot, blk, prev_hdr,
-                                     block_certs_[static_cast<std::size_t>(h) - 1]);
-        !st) {
-      return R(st.WithContext("backfill height " + std::to_string(h)));
+    const Bytes aux = std::move(CaptureAux({&slot, 1}, blk).front());
+    Hash256 digest;
+    auto sig = IndexEcall(slot, blk, node_.GetBlock(h - 1).header,
+                          block_certs_[static_cast<std::size_t>(h) - 1], aux,
+                          digest);
+    if (!sig) {
+      return R(sig.status()
+                   .WithContext("index ecall for " + slot.host->Id())
+                   .WithContext("backfill height " + std::to_string(h)));
     }
+    slot.cert = AssembleCert(IndexCertDigest(blk.header.Hash(), digest),
+                             sig.value());
+    slot.digest = digest;
   }
   if (slot.host->CurrentDigest() != slot.digest) {
     return R::Error("backfilled index diverged from certified digest");

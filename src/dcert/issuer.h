@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,10 @@ namespace dcert::core {
 /// index (usually co-maintained with an SP) captures pre-state auxiliary
 /// proofs while applying each block: successive appends within one block
 /// depend on each other, so proof capture and application are one pass.
-/// If the enclave later rejects the update the CI instance is considered
-/// failed (a production CI would snapshot and roll back).
+/// The issuer cannot undo an apply: a block refused after the capture
+/// leaves the live index ahead of its certified digest, and the issuer then
+/// refuses every block, naming that index (a production CI would snapshot
+/// and roll back).
 class CertifiedIndexHost {
  public:
   virtual ~CertifiedIndexHost() = default;
@@ -103,17 +106,22 @@ class CertificateIssuer {
   /// Certificate for the current tip (nullopt while the tip is genesis).
   const std::optional<BlockCertificate>& LatestCert() const { return latest_cert_; }
 
-  /// gen_cert (Alg. 1): constructs the block certificate for `blk` (which
-  /// must extend this CI's tip) and then appends the block to the local full
-  /// node, applying the write set pre-processing derived (the enclave has
-  /// verified the block, signatures included, by then). A refused block
-  /// leaves the node and LatestCert() untouched. Fills LastTiming().
+  /// gen_cert (Alg. 1), or Alg. 5 over the attached indexes: certifies
+  /// `blk` (which must extend this CI's tip), then appends it to the local
+  /// full node with the write set pre-processing derived (the enclave has
+  /// verified the block, signatures included, by then). Refuses, leaving the
+  /// node, LatestCert() and every LatestIndexCert() untouched, if a live
+  /// index is not at its certified digest before the block, an Ecall
+  /// refuses, or a live index lands off the digest the enclave certified.
+  /// Fills LastTiming().
   Result<BlockCertificate> ProcessBlock(const chain::Block& blk);
 
   /// Batched certification: one Ecall certifies the whole span (which must
   /// extend the tip contiguously); only the last block receives a
   /// certificate. Amortizes enclave transitions and signing across the span
   /// at the cost of per-block certification latency (see bench_batching).
+  /// Each block but the last is committed, fully validated, before the
+  /// Ecall.
   Result<BlockCertificate> ProcessBlockBatch(
       const std::vector<chain::Block>& blocks);
 
@@ -125,10 +133,10 @@ class CertificateIssuer {
   Status AcceptBlockWithCert(const chain::Block& blk,
                              const BlockCertificate& cert);
 
-  /// Registers an authenticated index for certification. All indexes are
-  /// updated/certified by the ProcessBlock*Indexes entry points. Must be
-  /// called while the chain is at genesis; for later attachment use
-  /// AttachIndexWithBackfill.
+  /// Registers an authenticated index for certification by ProcessBlock*.
+  /// Must be called while the chain is at genesis; for later attachment use
+  /// AttachIndexWithBackfill. Throws std::invalid_argument for a null index
+  /// or an id already attached.
   void AttachIndex(std::shared_ptr<CertifiedIndexHost> index);
 
   /// On-demand index activation (the paper's versatility claim): attaches a
@@ -137,24 +145,25 @@ class CertificateIssuer {
   /// certificates up to the current tip. Requires the tip to already carry a
   /// block certificate (or be genesis). Returns the index certificate at the
   /// tip. Cost: one index Ecall per historical block (measured by
-  /// bench_backfill).
+  /// bench_backfill). Refuses an id already attached.
   Result<IndexCertificate> AttachIndexWithBackfill(
       std::shared_ptr<CertifiedIndexHost> index);
 
   std::size_t IndexCount() const { return indexes_.size(); }
 
-  /// Augmented scheme (Alg. 4): one Ecall *per index*, each re-verifying the
-  /// block. No standalone block certificate is produced. The first index's
-  /// aux capture runs before any Ecall, so a block the enclave refuses
-  /// (forged root, bad signature) leaves that live index ahead of its
-  /// certificate — see CertifiedIndexHost.
+  /// Augmented scheme (Alg. 4): every index's aux capture, then one Ecall
+  /// *per index*, each re-verifying the block; no block certificate.
+  /// Refuses like ProcessBlock, and with no index attached. A block the
+  /// enclave refuses (forged root, bad signature) leaves the live indexes
+  /// ahead (see CertifiedIndexHost).
   Result<std::vector<IndexCertificate>> ProcessBlockAugmented(
       const chain::Block& blk);
 
-  /// Hierarchical scheme (Alg. 5): one gen_cert Ecall for the block, then
-  /// one lightweight Ecall per index. Returns the index certificates; the
-  /// block certificate is available via LatestCert(). The block Ecall runs
-  /// before any index is touched, so a refused block changes nothing.
+  /// Hierarchical scheme (Alg. 5): ProcessBlock, refused with no index
+  /// attached. One gen_cert Ecall, every index's aux capture, then one
+  /// lightweight Ecall per index; returns the index certificates. A refused
+  /// block Ecall touches no index; a refused index Ecall leaves the live
+  /// indexes ahead (see CertifiedIndexHost).
   Result<std::vector<IndexCertificate>> ProcessBlockHierarchical(
       const chain::Block& blk);
 
@@ -182,35 +191,52 @@ class CertificateIssuer {
     std::uint64_t input_bytes = 0;
   };
 
+  enum class Scheme { kAugmented, kHierarchical };
+
+  /// The pipeline behind ProcessBlock*: Prepare (tip check, every live index
+  /// at its certified digest, Prepare()), then the scheme's Ecalls into
+  /// locals, then Commit once every Ecall succeeded and every live index is
+  /// at the digest the enclave certified.
+  Result<std::vector<IndexCertificate>> Certify(const chain::Block& blk,
+                                                Scheme scheme);
   /// Outside-enclave pre-processing (Alg. 1 lines 2-3), timed. Executes
   /// without checking signatures: the enclave checks them, and nothing the
   /// host derives here is trusted before it has.
   Result<Prepared> Prepare(const chain::Block& blk);
+  /// Runs one Ecall over `input_bytes` of marshalled input and books its
+  /// wall and modelled time into LastTiming() and ci.stage.enclave_ns.
+  template <typename F>
+  auto RunEcall(std::uint64_t input_bytes, F&& fn) -> decltype(fn());
+  /// Applies `blk` to each slot's live index, concurrently across the
+  /// hosts, and returns their aux proofs; index_aux_ns is the wall time.
+  std::vector<Bytes> CaptureAux(std::span<const IndexSlot> slots,
+                                const chain::Block& blk);
+  /// One index Ecall (Alg. 5 inner loop) for `slot` over `blk`, which
+  /// `block_cert` certifies; the new index digest goes to `digest`.
+  Result<crypto::Signature> IndexEcall(const IndexSlot& slot,
+                                       const chain::Block& blk,
+                                       const chain::BlockHeader& prev_hdr,
+                                       const BlockCertificate& block_cert,
+                                       ByteView aux, Hash256& digest);
+  /// The one writer of node_, latest_cert_, block_certs_ and indexes_ for
+  /// every adopted block. Appends `blk`, timed: with `verified_writes` (the
+  /// write set the enclave verified) through FullNode::AppendExecuted,
+  /// without with full validation. Then installs `cert` as the tip
+  /// certificate (a block without one ends the per-block certificates
+  /// backfill needs) and `slots`, if any. A refused append installs nothing.
+  Status Commit(const chain::Block& blk, const chain::StateMap* verified_writes,
+                const std::optional<BlockCertificate>& cert,
+                std::vector<IndexSlot> slots = {});
   BlockCertificate AssembleCert(const Hash256& digest,
                                 const crypto::Signature& sig) const;
   Status CheckExtendsTip(const chain::Block& blk) const;
-  /// Appends the block to the local full node, timed. With
-  /// `verified_writes` — the write set Prepare derived, once the enclave has
-  /// verified and signed the block — through FullNode::AppendExecuted;
-  /// without, with full validation (a block no enclave has verified yet).
-  Status Commit(const chain::Block& blk,
-                const chain::StateMap* verified_writes = nullptr);
+  /// The attached slot with index id `id`, or nullptr.
+  const IndexSlot* FindSlot(const std::string& id) const;
 
   chain::ChainConfig config_;
   sgxsim::Enclave enclave_;
   CertEnclaveProgram program_;
   sgxsim::AttestationReport report_;
-  /// Runs one index Ecall (Alg. 5 inner loop) for `slot` over `blk`, which
-  /// must carry `block_cert`. Updates the slot and the timing counters.
-  Status CertifyIndexStep(IndexSlot& slot, const chain::Block& blk,
-                          const chain::BlockHeader& prev_hdr,
-                          const BlockCertificate& block_cert);
-  /// Same, with the aux proof already captured (the hierarchical entry point
-  /// captures all indexes' aux material concurrently before the Ecalls).
-  Status CertifyIndexStepWithAux(IndexSlot& slot, const chain::Block& blk,
-                                 const chain::BlockHeader& prev_hdr,
-                                 const BlockCertificate& block_cert, Bytes aux);
-
   chain::FullNode node_;
   std::optional<BlockCertificate> latest_cert_;
   /// Block certificates by height-1 (kept so late-attached indexes can be

@@ -54,8 +54,9 @@ Result<StateUpdateProof> StateUpdateProof::Deserialize(ByteView data) {
 }
 
 std::size_t StateUpdateProof::ByteSize() const {
-  return (read_set.size() + prior_write_values.size()) * (32 + 8) +
-         smt_proof.ByteSize();
+  // Two u32 map counts, 40 bytes per entry, and the SMT proof as a blob.
+  return 4 + 4 + (read_set.size() + prior_write_values.size()) * (32 + 8) +
+         4 + smt_proof.ByteSize();
 }
 
 std::map<Hash256, Hash256> StateUpdateProof::OldLeaves() const {

@@ -23,6 +23,7 @@ struct StateUpdateProof {
 
   Bytes Serialize() const;
   static Result<StateUpdateProof> Deserialize(ByteView data);
+  /// Serialize().size(), counted without serializing.
   std::size_t ByteSize() const;
 
   /// All covered pre-state leaves (read set ∪ prior write values), hashed as

@@ -1,33 +1,8 @@
 #include "mht/merkle_tree.h"
 
-#include <stdexcept>
-
 #include "mht/node_hash.h"
 
 namespace dcert::mht {
-
-void MerklePath::Encode(Encoder& enc) const {
-  enc.U64(leaf_index);
-  enc.U32(static_cast<std::uint32_t>(steps.size()));
-  for (const Step& s : steps) {
-    enc.HashField(s.sibling);
-    enc.Bool(s.sibling_on_left);
-  }
-}
-
-MerklePath MerklePath::Decode(Decoder& dec) {
-  MerklePath path;
-  path.leaf_index = dec.U64();
-  std::uint32_t n = dec.U32();
-  path.steps.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Step s;
-    s.sibling = dec.HashField();
-    s.sibling_on_left = dec.Bool();
-    path.steps.push_back(s);
-  }
-  return path;
-}
 
 Hash256 MerkleTree::LeafHash(const Hash256& item_digest) {
   return TaggedDigest(NodeTag::kMerkleLeaf, item_digest.View());
@@ -49,53 +24,19 @@ MerkleTree::MerkleTree(std::vector<Hash256> leaf_hashes)
     }
     TaggedDigestMany32(NodeTag::kMerkleLeaf, jobs.data(), jobs.size());
   }
-  levels_.push_back(std::move(level));
   std::vector<NodePairJob> jobs;
-  while (levels_.back().size() > 1) {
-    const std::vector<Hash256>& prev = levels_.back();
-    std::vector<Hash256> next((prev.size() + 1) / 2);
+  while (level.size() > 1) {
+    std::vector<Hash256> next((level.size() + 1) / 2);
     jobs.clear();
-    jobs.reserve(prev.size() / 2);
-    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
-      jobs.push_back({&prev[i], &prev[i + 1], &next[i / 2]});
+    jobs.reserve(level.size() / 2);
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      jobs.push_back({&level[i], &level[i + 1], &next[i / 2]});
     }
     TaggedDigest2Many(NodeTag::kMerkleInternal, jobs.data(), jobs.size());
-    if (prev.size() % 2 == 1) next.back() = prev.back();  // promote odd node
-    levels_.push_back(std::move(next));
+    if (level.size() % 2 == 1) next.back() = level.back();  // promote odd node
+    level = std::move(next);
   }
-  root_ = levels_.back().front();
-}
-
-MerklePath MerkleTree::Prove(std::size_t index) const {
-  if (index >= leaf_count_) {
-    throw std::out_of_range("MerkleTree::Prove: leaf index out of range");
-  }
-  MerklePath path;
-  path.leaf_index = index;
-  std::size_t pos = index;
-  for (std::size_t lvl = 0; lvl + 1 < levels_.size(); ++lvl) {
-    const std::vector<Hash256>& nodes = levels_[lvl];
-    std::size_t sibling = (pos % 2 == 0) ? pos + 1 : pos - 1;
-    if (sibling < nodes.size()) {
-      path.steps.push_back({nodes[sibling], pos % 2 == 1});
-    }
-    // Promoted odd nodes contribute no step at this level.
-    pos /= 2;
-  }
-  return path;
-}
-
-Status MerkleTree::VerifyPath(const Hash256& root, const Hash256& leaf_hash,
-                              const MerklePath& path) {
-  Hash256 acc = LeafHash(leaf_hash);
-  for (const MerklePath::Step& s : path.steps) {
-    acc = s.sibling_on_left ? TaggedDigest2(NodeTag::kMerkleInternal, s.sibling, acc)
-                            : TaggedDigest2(NodeTag::kMerkleInternal, acc, s.sibling);
-  }
-  if (acc != root) {
-    return Status::Error("Merkle path does not reconstruct root");
-  }
-  return Status::Ok();
+  root_ = level.front();
 }
 
 Hash256 MerkleTree::ComputeRoot(const std::vector<Hash256>& leaf_hashes) {

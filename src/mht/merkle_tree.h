@@ -4,27 +4,12 @@
 // avoids the well-known Bitcoin CVE-2012-2459 mutation).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/serialize.h"
-#include "common/status.h"
 
 namespace dcert::mht {
-
-/// Audit path for one leaf: sibling hashes from the leaf level upward.
-struct MerklePath {
-  struct Step {
-    Hash256 sibling;
-    bool sibling_on_left = false;
-  };
-  std::uint64_t leaf_index = 0;
-  std::vector<Step> steps;
-
-  void Encode(Encoder& enc) const;
-  static MerklePath Decode(Decoder& dec);
-};
 
 /// Immutable binary MHT built over precomputed leaf hashes.
 class MerkleTree {
@@ -36,14 +21,6 @@ class MerkleTree {
   Hash256 Root() const { return root_; }
   std::size_t LeafCount() const { return leaf_count_; }
 
-  /// Membership proof for the leaf at `index` (throws std::out_of_range).
-  MerklePath Prove(std::size_t index) const;
-
-  /// Static verification: does `leaf_hash` at the path's position reconstruct
-  /// `root`?
-  static Status VerifyPath(const Hash256& root, const Hash256& leaf_hash,
-                           const MerklePath& path);
-
   /// Convenience: root over item digests without keeping the tree.
   static Hash256 ComputeRoot(const std::vector<Hash256>& leaf_hashes);
 
@@ -51,7 +28,6 @@ class MerkleTree {
   static Hash256 LeafHash(const Hash256& item_digest);
 
  private:
-  std::vector<std::vector<Hash256>> levels_;  // levels_[0] = tagged leaves
   Hash256 root_;
   std::size_t leaf_count_;
 };

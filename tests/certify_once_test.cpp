@@ -5,12 +5,14 @@
 // FullNode::AppendExecuted (apply, compare, roll back on a mismatch), block
 // bodies are shared between copies, IndexSigGen checks its two certificates
 // in one signature batch with the sequential error order, an SP's
-// HistoricalIndex::ApplyBlock matches the aux-capturing apply, and an
-// Ecall's input bytes are the serialized sizes.
+// HistoricalIndex::ApplyBlock matches the aux-capturing apply, an Ecall's
+// input bytes are the serialized sizes, and the issuer's certification
+// pipeline commits nothing for a block any Ecall or digest check refuses.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "chain/consensus.h"
@@ -628,10 +630,9 @@ TEST(EcallInputBytesTest, HierarchicalBlockCountsSerializedBlockProofAndAux) {
     const std::size_t aux_bytes = shadow.ApplyBlockCapturingAux(blk).size();
 
     // SigGen gets the block and its update proof; IndexSigGen the block and
-    // the index aux proof. The proof counts as its ByteSize(), which leaves
-    // out the three u32 length prefixes of its serialization (12 bytes).
-    const std::size_t proof_bytes = proof.ByteSize();
-    ASSERT_EQ(proof.Serialize().size(), proof_bytes + 12);
+    // the index aux proof, each counted as its serialized size.
+    const std::size_t proof_bytes = proof.Serialize().size();
+    ASSERT_EQ(proof.ByteSize(), proof_bytes);
     const std::uint64_t before = input_bytes->Value();
     ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(blk).ok());
     EXPECT_EQ(input_bytes->Value() - before,
@@ -641,6 +642,197 @@ TEST(EcallInputBytesTest, HierarchicalBlockCountsSerializedBlockProofAndAux) {
   chain::Block empty = rig.MineNext();
   empty.txs = std::vector<chain::Transaction>{};
   EXPECT_EQ(empty.ByteSize(), empty.Serialize().size());
+}
+
+// --- the certification pipeline: prepare, Ecalls, one commit -----------------
+
+/// A HistoricalIndex host that, once armed, either corrupts the aux proof it
+/// hands the enclave or misreports its digest after an apply.
+class FaultyHost final : public CertifiedIndexHost {
+ public:
+  enum class Fault { kCorruptAux, kLieAboutDigest };
+  FaultyHost(const std::string& id, Fault fault) : inner_(id), fault_(fault) {}
+
+  std::string Id() const override { return inner_.Id(); }
+  const IndexUpdateVerifier& Verifier() const override { return inner_.Verifier(); }
+  Hash256 CurrentDigest() const override {
+    Hash256 digest = inner_.CurrentDigest();
+    if (lying_) digest[0] ^= 1;
+    return digest;
+  }
+  Bytes ApplyBlockCapturingAux(const chain::Block& blk) override {
+    Bytes aux = inner_.ApplyBlockCapturingAux(blk);
+    if (armed && fault_ == Fault::kCorruptAux) aux.back() ^= 1;
+    if (armed && fault_ == Fault::kLieAboutDigest) lying_ = true;
+    return aux;
+  }
+
+  bool armed = false;
+
+ private:
+  query::HistoricalIndex inner_;
+  Fault fault_;
+  bool lying_ = false;
+};
+
+/// A CI certifying two indexes, "idx-a" and "idx-b".
+struct TwoIndexRig {
+  Rig rig{/*with_index=*/false};
+  std::shared_ptr<FaultyHost> a, b;
+
+  explicit TwoIndexRig(FaultyHost::Fault fault = FaultyHost::Fault::kCorruptAux)
+      : a(std::make_shared<FaultyHost>("idx-a", fault)),
+        b(std::make_shared<FaultyHost>("idx-b", fault)) {
+    rig.ci->AttachIndex(a);
+    rig.ci->AttachIndex(b);
+  }
+};
+
+/// What a refused block must leave committed.
+struct Committed {
+  std::uint64_t height;
+  Hash256 state_root;
+  std::optional<BlockCertificate> cert;
+  std::optional<IndexCertificate> a, b;
+
+  static Committed Of(const CertificateIssuer& ci) {
+    return {ci.Node().Height(), ci.Node().State().Root(), ci.LatestCert(),
+            ci.LatestIndexCert("idx-a"), ci.LatestIndexCert("idx-b")};
+  }
+
+  void ExpectSame(const CertificateIssuer& ci) const {
+    const Committed now = Of(ci);
+    EXPECT_EQ(now.height, height);
+    EXPECT_EQ(now.state_root, state_root);
+    EXPECT_EQ(now.cert, cert);
+    EXPECT_EQ(now.a, a);
+    EXPECT_EQ(now.b, b);
+  }
+};
+
+void ExpectNames(const Status& st, const std::string& part) {
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(part), std::string::npos) << st.message();
+}
+
+TEST(IssuerPipelineTest, HierarchicalSecondIndexRefusedCommitsNothing) {
+  TwoIndexRig t;
+  CertificateIssuer& ci = *t.rig.ci;
+  chain::Block b1 = t.rig.MineNext();
+  t.rig.Submit(b1);
+  ASSERT_TRUE(ci.ProcessBlockHierarchical(b1).ok());
+  ASSERT_TRUE(ci.LatestIndexCert("idx-a").has_value());
+
+  t.b->armed = true;
+  chain::Block b2 = t.rig.MineNext();
+  const Committed before = Committed::Of(ci);
+  ExpectNames(ci.ProcessBlockHierarchical(b2).status(), "index ecall for idx-b");
+  before.ExpectSame(ci);
+
+  // The capture advanced both live indexes, which the next block names.
+  t.b->armed = false;
+  auto again = ci.ProcessBlockHierarchical(b2);
+  ExpectNames(again.status(), "live index is not at its certified digest: idx-a");
+  EXPECT_EQ(again.message().find("ecall"), std::string::npos) << again.message();
+  before.ExpectSame(ci);
+}
+
+TEST(IssuerPipelineTest, AugmentedBadSignatureBlockCommitsNothing) {
+  TwoIndexRig t;
+  CertificateIssuer& ci = *t.rig.ci;
+  chain::Block b1 = t.rig.MineNext();
+  t.rig.Submit(b1);
+  ASSERT_TRUE(ci.ProcessBlockAugmented(b1).ok());
+  query::HistoricalIndex shadow;
+  shadow.ApplyBlock(b1);
+  const Hash256 certified = IndexCertDigest(b1.header.Hash(), shadow.CurrentDigest());
+
+  chain::Block b2 = t.rig.MineNext();
+  chain::Block bad = BadSignatureBlock(ci.Node(), b2);
+  const Committed before = Committed::Of(ci);
+  auto refused = ci.ProcessBlockAugmented(bad);
+  ExpectNamesBadTx(refused.status());
+  ExpectNames(refused.status(), "augmented ecall for idx-a");
+  before.ExpectSame(ci);
+  EXPECT_EQ(ci.LatestIndexCert("idx-a")->digest, certified);
+  EXPECT_EQ(ci.LatestIndexCert("idx-b")->digest, certified);
+
+  // The refused block's capture left the live indexes ahead: the next valid
+  // block is refused before any Ecall, naming the first of them.
+  t.rig.Submit(b2);
+  auto next = ci.ProcessBlockAugmented(b2);
+  ExpectNames(next.status(), "live index is not at its certified digest: idx-a");
+  EXPECT_EQ(next.message().find("ecall"), std::string::npos) << next.message();
+  before.ExpectSame(ci);
+}
+
+TEST(IssuerPipelineTest, LyingHostIsRefusedBeforeCommit) {
+  TwoIndexRig t(FaultyHost::Fault::kLieAboutDigest);
+  CertificateIssuer& ci = *t.rig.ci;
+  chain::Block b1 = t.rig.MineNext();
+  t.rig.Submit(b1);
+  ASSERT_TRUE(ci.ProcessBlockHierarchical(b1).ok());
+
+  t.b->armed = true;
+  chain::Block b2 = t.rig.MineNext();
+  const Committed before = Committed::Of(ci);
+  ExpectNames(ci.ProcessBlockHierarchical(b2).status(),
+              "live index diverged from certified digest: idx-b");
+  before.ExpectSame(ci);
+}
+
+TEST(IssuerPipelineTest, EveryEcallIsRecordedAsAnEnclaveStage) {
+  auto enclave_ns = obs::MetricsRegistry::Global().GetHistogram("ci.stage.enclave_ns");
+  for (bool augmented : {false, true}) {
+    TwoIndexRig t;
+    CertificateIssuer& ci = *t.rig.ci;
+    for (int i = 0; i < 3; ++i) {
+      chain::Block blk = t.rig.MineNext();
+      t.rig.Submit(blk);
+      const std::uint64_t before = enclave_ns->Snapshot().count;
+      auto certs = augmented ? ci.ProcessBlockAugmented(blk)
+                             : ci.ProcessBlockHierarchical(blk);
+      ASSERT_TRUE(certs.ok()) << certs.message();
+      EXPECT_EQ(ci.LastTiming().ecalls, augmented ? 2u : 3u);
+      EXPECT_EQ(enclave_ns->Snapshot().count - before, ci.LastTiming().ecalls)
+          << (augmented ? "augmented" : "hierarchical") << " block " << i;
+    }
+  }
+}
+
+TEST(IssuerPipelineTest, ProcessBlockCertifiesAttachedIndexes) {
+  Rig rig(/*with_index=*/true);
+  chain::Block b1 = rig.MineNext();
+  rig.Submit(b1);
+  ASSERT_TRUE(rig.ci->ProcessBlock(b1).ok());
+  const std::optional<IndexCertificate>& icert = rig.ci->LatestIndexCert("historical");
+  ASSERT_TRUE(icert.has_value());
+  EXPECT_EQ(icert->digest,
+            IndexCertDigest(b1.header.Hash(), rig.index->CurrentDigest()));
+}
+
+TEST(IssuerPipelineTest, AttachRefusesAnIdAlreadyAttached) {
+  Rig rig(/*with_index=*/true);
+  EXPECT_THROW(rig.ci->AttachIndex(rig.index), std::invalid_argument);
+  EXPECT_THROW(
+      rig.ci->AttachIndex(std::make_shared<query::HistoricalIndex>("historical")),
+      std::invalid_argument);
+  chain::Block b1 = rig.MineNext();
+  rig.Submit(b1);
+  ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(b1).ok());
+  const Hash256 digest = rig.index->CurrentDigest();
+  ExpectNames(rig.ci->AttachIndexWithBackfill(rig.index).status(),
+              "index id already attached: historical");
+  EXPECT_FALSE(
+      rig.ci->AttachIndexWithBackfill(
+                std::make_shared<query::HistoricalIndex>("historical"))
+          .ok());
+  EXPECT_EQ(rig.index->CurrentDigest(), digest);  // not replayed into
+  EXPECT_EQ(rig.ci->IndexCount(), 1u);
+  ASSERT_TRUE(
+      rig.ci->AttachIndexWithBackfill(std::make_shared<query::HistoricalIndex>("other"))
+          .ok());
+  EXPECT_EQ(rig.ci->IndexCount(), 2u);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Binary Merkle Hash Tree: roots, audit paths, tamper rejection.
+// Binary Merkle Hash Tree: roots, tamper sensitivity, and the tree's shape
+// (odd-node promotion) against a recursive reference.
 #include "mht/merkle_tree.h"
 
 #include <gtest/gtest.h>
 
 #include "crypto/sha256.h"
+#include "mht/node_hash.h"
 
 namespace dcert::mht {
 namespace {
@@ -28,9 +30,6 @@ TEST(MerkleTreeTest, SingleLeaf) {
   auto leaves = MakeLeaves(1);
   MerkleTree tree(leaves);
   EXPECT_EQ(tree.Root(), MerkleTree::LeafHash(leaves[0]));
-  MerklePath path = tree.Prove(0);
-  EXPECT_TRUE(path.steps.empty());
-  EXPECT_TRUE(MerkleTree::VerifyPath(tree.Root(), leaves[0], path).ok());
 }
 
 TEST(MerkleTreeTest, RootDependsOnEveryLeaf) {
@@ -50,79 +49,43 @@ TEST(MerkleTreeTest, RootDependsOnLeafOrder) {
   EXPECT_NE(MerkleTree(leaves).Root(), root);
 }
 
-TEST(MerkleTreeTest, ProveOutOfRangeThrows) {
-  MerkleTree tree(MakeLeaves(3));
-  EXPECT_THROW(tree.Prove(3), std::out_of_range);
-}
-
-TEST(MerkleTreeTest, WrongLeafRejected) {
-  auto leaves = MakeLeaves(6);
-  MerkleTree tree(leaves);
-  MerklePath path = tree.Prove(2);
-  EXPECT_TRUE(MerkleTree::VerifyPath(tree.Root(), leaves[2], path).ok());
-  EXPECT_FALSE(MerkleTree::VerifyPath(tree.Root(), leaves[3], path).ok());
-}
-
-TEST(MerkleTreeTest, TamperedPathRejected) {
-  auto leaves = MakeLeaves(6);
-  MerkleTree tree(leaves);
-  MerklePath path = tree.Prove(4);
-  ASSERT_FALSE(path.steps.empty());
-  path.steps[0].sibling[5] ^= 0xff;
-  EXPECT_FALSE(MerkleTree::VerifyPath(tree.Root(), leaves[4], path).ok());
-}
-
-TEST(MerkleTreeTest, PathSerializationRoundTrip) {
-  auto leaves = MakeLeaves(13);
-  MerkleTree tree(leaves);
-  MerklePath path = tree.Prove(7);
-  Encoder enc;
-  path.Encode(enc);
-  Decoder dec(enc.bytes());
-  MerklePath decoded = MerklePath::Decode(dec);
-  EXPECT_TRUE(dec.AtEnd());
-  EXPECT_TRUE(MerkleTree::VerifyPath(tree.Root(), leaves[7], decoded).ok());
-}
-
-TEST(MerkleTreeTest, PathWithNonCanonicalFlagByteFailsToDecode) {
-  // Each step ends with its sibling_on_left flag; read as "true", a 0x02
-  // there would give the same path a second byte form that verifies.
-  auto leaves = MakeLeaves(13);
-  MerkleTree tree(leaves);
-  Encoder enc;
-  tree.Prove(7).Encode(enc);
-  Bytes bytes = enc.Take();
-  const std::size_t first_flag = 8 + 4 + 32;  // leaf_index, count, sibling
-  ASSERT_GT(bytes.size(), first_flag);
-  ASSERT_LE(bytes[first_flag], 1);
-  bytes[first_flag] = 0x02;
-  Decoder dec(bytes);
-  EXPECT_THROW(MerklePath::Decode(dec), DecodeError);
-}
-
 TEST(MerkleTreeTest, ComputeRootMatchesTree) {
   auto leaves = MakeLeaves(10);
   EXPECT_EQ(MerkleTree::ComputeRoot(leaves), MerkleTree(leaves).Root());
 }
 
-// Property sweep: every leaf of trees of many sizes (including awkward odd
-// shapes) has a valid audit path, and no leaf validates at another's path.
+/// Split point of a range of `n` > 1 leaves: the largest power of two
+/// below `n`. Pairing level by level and promoting odd nodes unchanged gives
+/// this shape (the RFC 6962 one).
+std::size_t Split(std::size_t n) {
+  std::size_t k = 1;
+  while (2 * k < n) k *= 2;
+  return k;
+}
+
+/// Recursive reference root of leaves [lo, hi), with `leaf` standing in at
+/// position `at` (pass `at` = hi to change nothing).
+Hash256 RefRoot(const std::vector<Hash256>& leaves, std::size_t lo,
+                std::size_t hi, std::size_t at, const Hash256& leaf) {
+  if (hi - lo == 1) return MerkleTree::LeafHash(lo == at ? leaf : leaves[lo]);
+  const std::size_t mid = lo + Split(hi - lo);
+  return TaggedDigest2(NodeTag::kMerkleInternal, RefRoot(leaves, lo, mid, at, leaf),
+                       RefRoot(leaves, mid, hi, at, leaf));
+}
+
+// Property sweep over many sizes (including awkward odd shapes): the root is
+// the recursive reference's, so every leaf is provable by the reference's
+// audit path, and no other leaf at that position reconstructs the root.
 class MerkleTreeSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(MerkleTreeSweep, AllLeavesProvable) {
-  const int n = GetParam();
-  auto leaves = MakeLeaves(n);
+  const auto n = static_cast<std::size_t>(GetParam());
+  auto leaves = MakeLeaves(GetParam());
   MerkleTree tree(leaves);
-  for (int i = 0; i < n; ++i) {
-    MerklePath path = tree.Prove(static_cast<std::size_t>(i));
-    EXPECT_TRUE(
-        MerkleTree::VerifyPath(tree.Root(), leaves[static_cast<std::size_t>(i)], path)
-            .ok())
+  EXPECT_EQ(tree.Root(), RefRoot(leaves, 0, n, n, Hash256())) << "n=" << n;
+  for (std::size_t i = 0; i < n && n > 1; ++i) {
+    EXPECT_NE(RefRoot(leaves, 0, n, i, leaves[(i + 1) % n]), tree.Root())
         << "n=" << n << " i=" << i;
-    if (n > 1) {
-      const auto& other = leaves[static_cast<std::size_t>((i + 1) % n)];
-      EXPECT_FALSE(MerkleTree::VerifyPath(tree.Root(), other, path).ok());
-    }
   }
 }
 
