@@ -7,7 +7,7 @@
 //   gap        same, but the last certificate is missing (the crash hit
 //              between the block and cert appends): replay N-1 plus one
 //              enclave re-certification.
-//   rehydrate  SpServer::Rehydrate from the same stores: certificate
+//   rehydrate  SpServer::Restore from the same stores: certificate
 //              envelope checks + HistoricalIndex rebuild, i.e. the
 //              service-side half of a restart.
 //   ckpt       CheckpointedIssuer::Open through the newest certified
@@ -316,7 +316,8 @@ int main(int argc, char** argv) {
       cfg.workers = 2;
       svc::SpServer server(cfg);
       Stopwatch w;
-      if (Status st = server.Rehydrate(blocks.value(), certs.value()); !st) {
+      const svc::StoredChain stores{blocks.value(), certs.value()};
+      if (Status st = server.Restore(nullptr, &stores); !st) {
         std::fprintf(stderr, "rehydrate: %s\n", st.message().c_str());
         return 1;
       }

@@ -27,7 +27,7 @@
 // so clients keep their cached attestation across the restart.
 //
 // Attached indexes are NOT restored (replay bypasses index certification);
-// rebuild service-side indexes from the stores instead (SpServer::Rehydrate).
+// rebuild service-side indexes from the stores instead (SpServer::Restore).
 #pragma once
 
 #include <cstdint>

@@ -107,6 +107,15 @@ const std::optional<IndexCertificate>& CertificateIssuer::LatestIndexCert(
   throw std::out_of_range("LatestIndexCert: unknown index id: " + id);
 }
 
+Status CertificateIssuer::CheckNoIndexAttached() const {
+  if (!indexes_.empty()) {
+    return Status::Error(
+        "refused while indexes are attached: they would fall behind the "
+        "chain");
+  }
+  return Status::Ok();
+}
+
 Status CertificateIssuer::CheckExtendsTip(const chain::Block& blk) const {
   const chain::BlockHeader& tip = node_.Tip().header;
   if (blk.header.prev_hash != tip.Hash() || blk.header.height != tip.height + 1) {
@@ -303,6 +312,7 @@ Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockHierarchica
 Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
     const std::vector<chain::Block>& blocks) {
   using R = Result<BlockCertificate>;
+  if (Status st = CheckNoIndexAttached(); !st) return R(st);
   timing_ = CertTiming{};
   timing_.blocks = blocks.size();
   if (blocks.empty()) return R::Error("empty batch");
@@ -364,6 +374,7 @@ Status CertificateIssuer::InstallSnapshot(const chain::Block& tip,
 
 Status CertificateIssuer::AcceptBlockWithCert(const chain::Block& blk,
                                               const BlockCertificate& cert) {
+  if (Status st = CheckNoIndexAttached(); !st) return st;
   if (Status st = CheckExtendsTip(blk); !st) return st;
   if (Status st = VerifyCertificateEnvelope(cert, ExpectedEnclaveMeasurement());
       !st) {
@@ -383,6 +394,10 @@ Result<IndexCertificate> CertificateIssuer::AttachIndexWithBackfill(
   timing_ = CertTiming{};
   if (FindSlot(index->Id()) != nullptr) {
     return R::Error("index id already attached: " + index->Id());
+  }
+  if (index->CurrentDigest() != index->Verifier().GenesisDigest()) {
+    return R::Error("backfill needs a fresh index: " + index->Id() +
+                    " is not at its genesis digest");
   }
   const std::uint64_t height = node_.Height();
   if (height == 0) {

@@ -121,7 +121,7 @@ class CertificateIssuer {
   /// certificate. Amortizes enclave transitions and signing across the span
   /// at the cost of per-block certification latency (see bench_batching).
   /// Each block but the last is committed, fully validated, before the
-  /// Ecall.
+  /// Ecall. Refused while an index is attached.
   Result<BlockCertificate> ProcessBlockBatch(
       const std::vector<chain::Block>& blocks);
 
@@ -129,7 +129,8 @@ class CertificateIssuer {
   /// running the same measured enclave can extend the chain). Fully
   /// validates the block locally, checks that `cert` is a valid certificate
   /// for it from the pinned enclave program, appends, and uses `cert` as the
-  /// recursive predecessor for this CI's own future certificates.
+  /// recursive predecessor for this CI's own future certificates. Refused
+  /// while an index is attached.
   Status AcceptBlockWithCert(const chain::Block& blk,
                              const BlockCertificate& cert);
 
@@ -145,7 +146,8 @@ class CertificateIssuer {
   /// certificates up to the current tip. Requires the tip to already carry a
   /// block certificate (or be genesis). Returns the index certificate at the
   /// tip. Cost: one index Ecall per historical block (measured by
-  /// bench_backfill). Refuses an id already attached.
+  /// bench_backfill). Refuses an id already attached and a host that is not
+  /// at its verifier's genesis digest.
   Result<IndexCertificate> AttachIndexWithBackfill(
       std::shared_ptr<CertifiedIndexHost> index);
 
@@ -229,6 +231,9 @@ class CertificateIssuer {
                 std::vector<IndexSlot> slots = {});
   BlockCertificate AssembleCert(const Hash256& digest,
                                 const crypto::Signature& sig) const;
+  /// Refuses while an index is attached: the paths that adopt a block
+  /// without certifying it per index would leave that index behind.
+  Status CheckNoIndexAttached() const;
   Status CheckExtendsTip(const chain::Block& blk) const;
   /// The attached slot with index id `id`, or nullptr.
   const IndexSlot* FindSlot(const std::string& id) const;

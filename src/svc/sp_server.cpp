@@ -293,35 +293,77 @@ Status SpServer::Announce(const AnnounceRequest& req) {
   return AnnounceLocked(req);
 }
 
-Status SpServer::Rehydrate(const chain::BlockStore& blocks,
-                           const core::CertificateStore& certs) {
+Status SpServer::Restore(const ckpt::Checkpoint* ck,
+                         const StoredChain* stores) {
+  if (ck == nullptr && stores == nullptr) {
+    return Status::Error("rehydrate: neither a checkpoint nor stores given");
+  }
   std::unique_lock<std::shared_mutex> lk(state_mu_);
   if (next_height_ != 1 || tip_) {
     return Status::Error("rehydrate: server has already applied blocks");
   }
-  if (blocks.Count() == 0) {
-    return Status::Error("rehydrate: empty block store");
+  // The stores replay the blocks above the checkpoint's tip, or genesis.
+  const std::uint64_t anchor_height = ck != nullptr ? ck->height : 0;
+  chain::BlockHeader anchor_hdr;
+  if (stores != nullptr) {
+    const chain::BlockStore& blocks = stores->blocks;
+    if (blocks.Count() <= anchor_height) {
+      if (ck == nullptr) return Status::Error("rehydrate: empty block store");
+      return Status::Error("rehydrate: block store (" +
+                           std::to_string(blocks.Count()) +
+                           " blocks) is behind checkpoint height " +
+                           std::to_string(anchor_height));
+    }
+    if (blocks.BaseHeight() > anchor_height) {
+      if (ck == nullptr) {
+        return Status::Error(
+            "rehydrate: history below height " +
+            std::to_string(blocks.BaseHeight()) +
+            " was compacted; rehydrate from a checkpoint instead");
+      }
+      return Status::Error(
+          "rehydrate: log history was compacted above checkpoint height " +
+          std::to_string(anchor_height));
+    }
+    if (stores->certs.Count() + 1 < blocks.Count()) {
+      return Status::Error(
+          "rehydrate: cert store behind block store (reopen the durable "
+          "issuer to reconcile first)");
+    }
+    auto anchor = blocks.Get(anchor_height);
+    if (!anchor) return anchor.status();
+    // Anchor the checkpoint to the durable chain: the stored block at its
+    // height must be the certified tip it claims.
+    if (ck != nullptr && anchor.value().header.Hash() != ck->header.Hash()) {
+      return Status::Error(
+          "rehydrate: checkpoint tip does not match the stored block at "
+          "height " + std::to_string(anchor_height));
+    }
+    anchor_hdr = anchor.value().header;
   }
-  if (certs.Count() + 1 < blocks.Count()) {
-    return Status::Error(
-        "rehydrate: cert store behind block store (reopen the durable "
-        "issuer to reconcile first)");
+  if (ck != nullptr) {
+    if (Status st = RestoreCheckpointLocked(*ck); !st) return st;
   }
-  if (blocks.BaseHeight() > 0) {
-    return Status::Error(
-        "rehydrate: history below height " +
-        std::to_string(blocks.BaseHeight()) +
-        " was compacted; rehydrate from a checkpoint instead");
+  if (stores != nullptr) {
+    if (Status st = ReplayStoredLocked(*stores, anchor_height + 1, anchor_hdr);
+        !st) {
+      return st;
+    }
+    if (ck != nullptr) {
+      obs::MetricsRegistry::Global()
+          .GetGauge("ci.ckpt.sp_tail_replayed")
+          ->Set(static_cast<std::int64_t>(stores->blocks.Count() - 1 -
+                                          anchor_height));
+    }
   }
-  auto genesis = blocks.Get(0);
-  if (!genesis) return genesis.status();
-  return RehydrateRange(blocks, certs, 1, genesis.value().header);
+  cache_.InvalidateAll();
+  return Status::Ok();
 }
 
-Status SpServer::RehydrateRange(const chain::BlockStore& blocks,
-                                const core::CertificateStore& certs,
-                                std::uint64_t from,
-                                chain::BlockHeader prev_hdr) {
+Status SpServer::ReplayStoredLocked(const StoredChain& stores,
+                                    std::uint64_t from,
+                                    chain::BlockHeader prev_hdr) {
+  const chain::BlockStore& blocks = stores.blocks;
   // Envelope signatures are checked in chunked crypto::VerifyBatch dispatches
   // (every chunk shares one IAS point term); chain-linkage and digest checks
   // stay per height, in order, with the same error statuses as before.
@@ -334,7 +376,7 @@ Status SpServer::RehydrateRange(const chain::BlockStore& blocks,
         std::min(blocks.Count(), chunk + kRehydrateChunk);
     chunk_certs.clear();
     for (std::uint64_t h = chunk; h < chunk_end; ++h) {
-      auto cert = certs.Get(h - 1);
+      auto cert = stores.certs.Get(h - 1);
       if (!cert) return cert.status();
       chunk_certs.push_back(std::move(cert.value()));
     }
@@ -380,14 +422,10 @@ Status SpServer::RehydrateRange(const chain::BlockStore& blocks,
       prev_hdr = hdr;
     }
   }
-  cache_.InvalidateAll();
   return Status::Ok();
 }
 
-Status SpServer::RestoreFromCheckpointLocked(const ckpt::Checkpoint& ck) {
-  if (next_height_ != 1 || tip_) {
-    return Status::Error("rehydrate: server has already applied blocks");
-  }
+Status SpServer::RestoreCheckpointLocked(const ckpt::Checkpoint& ck) {
   if (Status st = ckpt::VerifyCheckpoint(ck, config_.expected_measurement);
       !st) {
     return st.WithContext("rehydrate checkpoint");
@@ -409,63 +447,13 @@ Status SpServer::RestoreFromCheckpointLocked(const ckpt::Checkpoint& ck) {
   tip.index_digest = ck.index_digest;
   // When the checkpoint carries a real index certificate (SP-written ones
   // do) and no tail follows, serve it directly — queries verify
-  // immediately. RehydrateRange overwrites this with the fail-safe
+  // immediately. ReplayStoredLocked overwrites this with the fail-safe
   // placeholder per replayed block: a stale index cert cannot cover an
   // advanced index.
   tip.index_cert = ck.has_index_cert ? ck.index_cert : ck.block_cert;
   SetTipLocked(std::move(tip));
   next_height_ = ck.height + 1;
   blocks_applied_->Add(1);  // the checkpoint stands in for its whole prefix
-  return Status::Ok();
-}
-
-Status SpServer::RehydrateFromCheckpoint(const ckpt::Checkpoint& ck) {
-  std::unique_lock<std::shared_mutex> lk(state_mu_);
-  if (Status st = RestoreFromCheckpointLocked(ck); !st) return st;
-  cache_.InvalidateAll();
-  return Status::Ok();
-}
-
-Status SpServer::RehydrateFromCheckpoint(const ckpt::Checkpoint& ck,
-                                         const chain::BlockStore& blocks,
-                                         const core::CertificateStore& certs) {
-  std::unique_lock<std::shared_mutex> lk(state_mu_);
-  if (next_height_ != 1 || tip_) {
-    return Status::Error("rehydrate: server has already applied blocks");
-  }
-  if (blocks.Count() <= ck.height) {
-    return Status::Error("rehydrate: block store (" +
-                         std::to_string(blocks.Count()) +
-                         " blocks) is behind checkpoint height " +
-                         std::to_string(ck.height));
-  }
-  if (blocks.BaseHeight() > ck.height) {
-    return Status::Error(
-        "rehydrate: log history was compacted above checkpoint height " +
-        std::to_string(ck.height));
-  }
-  if (certs.Count() + 1 < blocks.Count()) {
-    return Status::Error(
-        "rehydrate: cert store behind block store (reopen the durable "
-        "issuer to reconcile first)");
-  }
-  // Anchor the checkpoint to the durable chain: the stored block at its
-  // height must be the certified tip it claims.
-  auto anchor = blocks.Get(ck.height);
-  if (!anchor) return anchor.status();
-  if (anchor.value().header.Hash() != ck.header.Hash()) {
-    return Status::Error(
-        "rehydrate: checkpoint tip does not match the stored block at "
-        "height " + std::to_string(ck.height));
-  }
-  if (Status st = RestoreFromCheckpointLocked(ck); !st) return st;
-  if (Status st = RehydrateRange(blocks, certs, ck.height + 1, ck.header);
-      !st) {
-    return st;
-  }
-  obs::MetricsRegistry::Global()
-      .GetGauge("ci.ckpt.sp_tail_replayed")
-      ->Set(static_cast<std::int64_t>(blocks.Count() - 1 - ck.height));
   return Status::Ok();
 }
 

@@ -69,6 +69,13 @@ struct SpServerConfig {
   std::uint64_t debug_process_delay_ms = 0;
 };
 
+/// A CI's durable stores, as DurableCertificateIssuer leaves them: the block
+/// log and the certificate log beside it (one cert per non-genesis block).
+struct StoredChain {
+  const chain::BlockStore& blocks;
+  const core::CertificateStore& certs;
+};
+
 struct SpServerStats {
   std::uint64_t served = 0;             // OK replies
   std::uint64_t shed = 0;               // kBusy replies from admission control
@@ -99,45 +106,36 @@ class SpServer {
   /// announcements arriving over the wire.
   Status Announce(const AnnounceRequest& req);
 
-  /// Bootstraps a FRESH server from a CI's durable stores after a restart:
-  /// validates every stored block certificate (digest + envelope, pinned
-  /// measurement) and the chain linkage, and rebuilds the live
-  /// HistoricalIndex by applying the stored blocks in order. The restored
-  /// tip carries the stored block certificate; the index-certificate slot
-  /// holds it too as a fail-safe placeholder (clients reject it as an index
-  /// cert) until the next live announcement refreshes it — the durable
-  /// stores hold block certs only, so certified index serving resumes then.
-  /// Fails without touching state when the server has already applied
+  /// Bootstraps a FRESH server after a restart from a checkpoint, a CI's
+  /// durable stores, or both (nullptr for the one not given). Fails without
+  /// touching state when neither is given or the server has already applied
   /// blocks.
-  Status Rehydrate(const chain::BlockStore& blocks,
-                   const core::CertificateStore& certs);
-
-  /// O(delta) bootstrap of a FRESH server: verifies the checkpoint
-  /// (certificate envelope, digest binding, index-cert binding), restores
-  /// the index from its content (the restored digest must reproduce the
-  /// certified one), cross-checks the checkpoint tip against the stored
-  /// block at its height, then replays only the stored tail above it — so
-  /// rehydration cost depends on the checkpoint delta, not chain length.
-  /// When the tail is empty and the checkpoint carries an index
-  /// certificate (SP-written checkpoints do), the restored tip serves it
-  /// directly: queries verify immediately, no placeholder. A non-empty
-  /// tail advances the index past the checkpoint's certified digest, so
-  /// the fail-safe placeholder applies until the next live announcement.
-  Status RehydrateFromCheckpoint(const ckpt::Checkpoint& ck,
-                                 const chain::BlockStore& blocks,
-                                 const core::CertificateStore& certs);
-
-  /// Store-free variant for servers fed by live announcements (fleet shard
-  /// warm start): restores tip + index from the checkpoint alone — O(1) in
-  /// chain length — and resumes accepting announcements at the next height.
-  /// The tail is empty by construction, so a carried index certificate
-  /// serves immediately.
-  Status RehydrateFromCheckpoint(const ckpt::Checkpoint& ck);
+  ///
+  /// Stores: every stored block certificate is validated (digest + envelope,
+  /// pinned measurement) with the chain linkage, and the live
+  /// HistoricalIndex is rebuilt by applying the stored blocks in order. The
+  /// restored tip carries the stored block certificate; the index-certificate
+  /// slot holds it too as a fail-safe placeholder (clients reject it as an
+  /// index cert) until the next live announcement refreshes it — the durable
+  /// stores hold block certs only, so certified index serving resumes then.
+  ///
+  /// Checkpoint: verifies it (certificate envelope, digest binding,
+  /// index-cert binding) and restores the index from its content (the
+  /// restored digest must reproduce the certified one) — O(1) in chain
+  /// length; announcements resume at the next height. A carried index
+  /// certificate (SP-written checkpoints have one) serves directly.
+  ///
+  /// Both: the checkpoint tip is cross-checked against the stored block at
+  /// its height, then only the stored tail above it is replayed — cost
+  /// follows the checkpoint delta, not chain length. A non-empty tail
+  /// advances the index past the checkpoint's certified digest, so the
+  /// fail-safe placeholder applies until the next live announcement.
+  Status Restore(const ckpt::Checkpoint* ck, const StoredChain* stores);
 
   /// Snapshot of this server's serving state as an SP-flavor checkpoint:
   /// tip header + block certificate, index content + certified digest, and
   /// the tip's index certificate when it is a real one (fresh from an
-  /// announcement, not a rehydrate placeholder). No body/state — a query
+  /// announcement, not a restore placeholder). No body/state — a query
   /// server holds neither. Fails before the first certified tip.
   Result<ckpt::Checkpoint> ExportCheckpoint() const;
 
@@ -168,12 +166,11 @@ class SpServer {
   /// Chunk-batched certificate validation + index apply of stored blocks
   /// [from, blocks.Count()); caller must hold state_mu_ exclusively and
   /// have next_height_ == from with `prev_hdr` the header at from - 1.
-  Status RehydrateRange(const chain::BlockStore& blocks,
-                        const core::CertificateStore& certs,
-                        std::uint64_t from, chain::BlockHeader prev_hdr);
+  Status ReplayStoredLocked(const StoredChain& stores, std::uint64_t from,
+                            chain::BlockHeader prev_hdr);
   /// Checkpoint verify + index restore + tip install; caller must hold
   /// state_mu_ exclusively on a fresh server.
-  Status RestoreFromCheckpointLocked(const ckpt::Checkpoint& ck);
+  Status RestoreCheckpointLocked(const ckpt::Checkpoint& ck);
 
   SpServerConfig config_;
   /// Process start for the kHealth uptime field (per-server is the closest

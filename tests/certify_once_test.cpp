@@ -6,8 +6,9 @@
 // bodies are shared between copies, IndexSigGen checks its two certificates
 // in one signature batch with the sequential error order, an SP's
 // HistoricalIndex::ApplyBlock matches the aux-capturing apply, an Ecall's
-// input bytes are the serialized sizes, and the issuer's certification
-// pipeline commits nothing for a block any Ecall or digest check refuses.
+// input bytes are the serialized sizes, the issuer's certification
+// pipeline commits nothing for a block any Ecall or digest check refuses,
+// and the paths that would leave an attached index behind refuse.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -833,6 +834,71 @@ TEST(IssuerPipelineTest, AttachRefusesAnIdAlreadyAttached) {
       rig.ci->AttachIndexWithBackfill(std::make_shared<query::HistoricalIndex>("other"))
           .ok());
   EXPECT_EQ(rig.ci->IndexCount(), 2u);
+}
+
+// --- paths that would leave an attached index behind -----------------------
+
+/// A certificate for `blk` from another CI running the same enclave program
+/// (same key seed), as AcceptBlockWithCert receives one.
+BlockCertificate ForeignCert(const Rig& rig, const chain::Block& blk) {
+  CertificateIssuer other(rig.config, rig.registry);
+  auto cert = other.ProcessBlock(blk);
+  if (!cert.ok()) throw std::runtime_error(cert.message());
+  return cert.value();
+}
+
+TEST(IssuerIndexGapTest, AcceptBlockWithCertRefusedWithAnIndexAttached) {
+  Rig rig(/*with_index=*/true);
+  chain::Block b1 = rig.MineNext();
+  rig.Submit(b1);
+  const BlockCertificate cert = ForeignCert(rig, b1);
+  const CiSnapshot before = CiSnapshot::Of(rig);
+  ExpectNames(rig.ci->AcceptBlockWithCert(b1, cert),
+              "refused while indexes are attached");
+  before.ExpectSame(rig);
+
+  // The CI is not wedged: the block still certifies with its index.
+  ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(b1).ok());
+  EXPECT_EQ(rig.ci->Node().Height(), 1u);
+}
+
+TEST(IssuerIndexGapTest, ProcessBlockBatchRefusedWithAnIndexAttached) {
+  Rig rig(/*with_index=*/true);
+  chain::Block b1 = rig.MineNext();
+  rig.Submit(b1);
+  chain::Block b2 = rig.MineNext();
+  rig.Submit(b2);
+  const CiSnapshot before = CiSnapshot::Of(rig);
+  ExpectNames(rig.ci->ProcessBlockBatch({b1, b2}).status(),
+              "refused while indexes are attached");
+  before.ExpectSame(rig);
+
+  ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(b1).ok());
+  ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(b2).ok());
+  EXPECT_EQ(rig.ci->Node().Height(), 2u);
+}
+
+TEST(IssuerIndexGapTest, BackfillRefusesAHostThatIsNotFresh) {
+  Rig rig(/*with_index=*/false);
+  auto used = std::make_shared<query::HistoricalIndex>("historical");
+  for (int i = 0; i < 2; ++i) {
+    chain::Block blk = rig.MineNext();
+    rig.Submit(blk);
+    ASSERT_TRUE(rig.ci->ProcessBlock(blk).ok());
+    used->ApplyBlock(blk);
+  }
+  const Hash256 digest = used->CurrentDigest();
+  ExpectNames(rig.ci->AttachIndexWithBackfill(used).status(),
+              "backfill needs a fresh index: historical");
+  EXPECT_EQ(used->CurrentDigest(), digest);  // not replayed into
+  EXPECT_EQ(rig.ci->IndexCount(), 0u);
+
+  // A fresh host under the same id backfills.
+  ASSERT_TRUE(
+      rig.ci->AttachIndexWithBackfill(
+                std::make_shared<query::HistoricalIndex>("historical"))
+          .ok());
+  EXPECT_EQ(rig.ci->IndexCount(), 1u);
 }
 
 }  // namespace

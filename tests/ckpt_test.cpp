@@ -401,10 +401,10 @@ TEST(SpCheckpointTest, ExportedCheckpointWarmStartsAFreshServerInO1) {
       VerifyCheckpoint(ck.value(), core::ExpectedEnclaveMeasurement()).ok());
 
   svc::SpServer warm{svc::SpServerConfig{}};
-  ASSERT_TRUE(warm.RehydrateFromCheckpoint(ck.value()).ok());
+  ASSERT_TRUE(warm.Restore(&ck.value(), nullptr).ok());
   EXPECT_EQ(warm.Stats().tip_height, 8u);
   // A bootstrap, not a merge: the second call must refuse.
-  EXPECT_FALSE(warm.RehydrateFromCheckpoint(ck.value()).ok());
+  EXPECT_FALSE(warm.Restore(&ck.value(), nullptr).ok());
 
   // Satellite claim: with an empty tail the carried index certificate serves
   // IMMEDIATELY — a superlight client accepts the warm tip's block AND index
@@ -460,9 +460,8 @@ TEST(SpCheckpointTest, StoreBackedRehydrateReplaysOnlyTheTail) {
   ASSERT_TRUE(ck.ok()) << ck.message();
 
   svc::SpServer server{svc::SpServerConfig{}};
-  ASSERT_TRUE(
-      server.RehydrateFromCheckpoint(ck.value(), blocks.value(), certs.value())
-          .ok());
+  const svc::StoredChain stores{blocks.value(), certs.value()};
+  ASSERT_TRUE(server.Restore(&ck.value(), &stores).ok());
   svc::SpServerStats stats = server.Stats();
   EXPECT_EQ(stats.tip_height, 12u);
   // 1 checkpoint restore + 4 tail blocks, instead of all 12.
@@ -512,10 +511,8 @@ TEST(SpCheckpointTest, RehydrateRejectsForeignOrMisalignedStores) {
       ASSERT_TRUE(ci.value().CertifyBlock(Rig().blocks[i]).ok());
     }
     svc::SpServer server{svc::SpServerConfig{}};
-    EXPECT_FALSE(server
-                     .RehydrateFromCheckpoint(ck.value(), ci.value().Blocks(),
-                                              ci.value().Certs())
-                     .ok());
+    const svc::StoredChain stores{ci.value().Blocks(), ci.value().Certs()};
+    EXPECT_FALSE(server.Restore(&ck.value(), &stores).ok());
     EXPECT_EQ(server.Stats().blocks_applied, 0u);
   }
   {
@@ -523,7 +520,7 @@ TEST(SpCheckpointTest, RehydrateRejectsForeignOrMisalignedStores) {
     Checkpoint bad = ck.value();
     bad.index_digest[0] ^= 0x01;
     svc::SpServer server{svc::SpServerConfig{}};
-    EXPECT_FALSE(server.RehydrateFromCheckpoint(bad).ok());
+    EXPECT_FALSE(server.Restore(&bad, nullptr).ok());
     EXPECT_EQ(server.Stats().blocks_applied, 0u);
   }
 }

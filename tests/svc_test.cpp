@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "chain/node.h"
+#include "ckpt/checkpointed_issuer.h"
 #include "common/rng.h"
 #include "dcert/durable_issuer.h"
 #include "dcert/issuer.h"
@@ -635,6 +636,50 @@ TEST(SvcLoopbackTest, TamperedAnnouncementRejected) {
   SpServerStats stats = server.Stats();
   EXPECT_EQ(stats.announce_rejected, 2u);
   EXPECT_EQ(stats.blocks_applied, 0u);
+  server.Shutdown();
+}
+
+TEST(SvcWorkflowTest, UncertifiedBlocksMoveNeitherServerNorSuperlightClient) {
+  // Fig. 2 without a valid certificate: the blocks reach the SP and a
+  // superlight client, but only certificates move either of them.
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+  core::SuperlightClient light(core::ExpectedEnclaveMeasurement());
+  const std::size_t n = chain.announcements.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const AnnounceRequest& ann = chain.announcements[i];
+    core::BlockCertificate unattested = ann.block_cert;
+    unattested.sig = crypto::SecretKey::FromSeed(StrBytes("not-the-enclave"))
+                         .Sign(unattested.digest);
+    // No certificate, another block's, the index certificate in the block
+    // slot, and one over this header from a key no attested enclave holds.
+    const core::BlockCertificate uncertified[] = {
+        core::BlockCertificate{}, chain.announcements[(i + 1) % n].block_cert,
+        ann.index_cert, unattested};
+    for (const core::BlockCertificate& cert : uncertified) {
+      EXPECT_FALSE(light.ValidateAndAccept(ann.block.header, cert).ok())
+          << "height " << ann.block.header.height;
+      AnnounceRequest req = ann;
+      req.block_cert = cert;
+      EXPECT_FALSE(server.Announce(req).ok())
+          << "height " << ann.block.header.height;
+    }
+  }
+  EXPECT_EQ(light.Height(), 0u);
+  EXPECT_FALSE(light.HasState());
+  EXPECT_EQ(server.Stats().blocks_applied, 0u);
+  EXPECT_EQ(server.Stats().tip_height, 0u);
+  SpClient client(loopback.Connect());
+  EXPECT_FALSE(client.FetchTip().ok());
+
+  // The certified first block moves both.
+  const AnnounceRequest& first = chain.announcements.front();
+  ASSERT_TRUE(light.ValidateAndAccept(first.block.header, first.block_cert).ok());
+  EXPECT_EQ(light.Height(), 1u);
+  ASSERT_TRUE(server.Announce(first).ok());
+  EXPECT_EQ(server.Stats().tip_height, 1u);
   server.Shutdown();
 }
 
@@ -1886,33 +1931,55 @@ TEST(SvcStatsTest, EncodeDecodeRejectsMalformedBodies) {
   }
 }
 
-/// Durable-issuer stores on disk for the Rehydrate tests: certifies `blocks`
-/// kv-store blocks through a DurableCertificateIssuer and leaves the block
-/// log, cert log, and sealed key behind (the issuer itself is torn down, as
-/// after a CI restart).
+/// Removes a log at `path` with any rotated segments and its manifest, so a
+/// test starts from an empty store whatever an earlier run left behind.
+std::string FreshLogPath(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".manifest").c_str());
+  for (int first = 0; first < 16; ++first) {
+    const std::string seg = path + ".seg." + std::to_string(first);
+    std::remove(seg.c_str());
+    std::remove((seg + ".idx").c_str());
+  }
+  return path;
+}
+
+/// Durable-issuer stores on disk for the restore tests: certifies `blocks`
+/// kv-store blocks through a CheckpointedIssuer and leaves the block log,
+/// cert log, sealed key and, every `ckpt_interval` blocks (0: none), a
+/// checkpoint behind (the issuer itself is torn down, as after a CI
+/// restart).
 struct DurableStoresRig {
   chain::ChainConfig config;
   std::shared_ptr<const chain::ContractRegistry> registry;
   std::string block_log_path;
   std::string cert_log_path;
+  std::string ckpt_dir;
   std::uint64_t hot_account = 0;
   std::uint64_t tip_height = 0;
 
-  DurableStoresRig(const std::string& tag, int blocks) {
+  DurableStoresRig(const std::string& tag, int blocks,
+                   std::uint64_t ckpt_interval = 0) {
     config.difficulty_bits = 2;
     registry = workloads::MakeBlockbenchRegistry(1);
-    block_log_path = ::testing::TempDir() + tag + "_blocks.log";
-    cert_log_path = ::testing::TempDir() + tag + "_certs.log";
+    block_log_path = FreshLogPath(::testing::TempDir() + tag + "_blocks.log");
+    cert_log_path = FreshLogPath(::testing::TempDir() + tag + "_certs.log");
     const std::string key_path = ::testing::TempDir() + tag + "_key.sealed";
-    std::remove(block_log_path.c_str());
-    std::remove(cert_log_path.c_str());
     std::remove(key_path.c_str());
+    ckpt_dir = ::testing::TempDir() + tag + "_ckpt";
+    for (int h = 0; h <= blocks; ++h) {
+      std::remove((ckpt_dir + "/ckpt-" + std::to_string(h) + ".dcp").c_str());
+    }
 
     core::DurableIssuerOptions options;
     options.block_log_path = block_log_path;
     options.cert_log_path = cert_log_path;
     options.sealed_key_path = key_path;
-    auto ci = core::DurableCertificateIssuer::Open(config, registry, options);
+    ckpt::CheckpointConfig ckpt;
+    ckpt.dir = ckpt_dir;
+    ckpt.interval = ckpt_interval;
+    ckpt.keep = static_cast<std::size_t>(blocks);  // keep every checkpoint
+    auto ci = ckpt::CheckpointedIssuer::Open(config, registry, options, ckpt);
     if (!ci.ok()) throw std::runtime_error("open: " + ci.message());
 
     chain::FullNode node(config, registry);
@@ -1940,6 +2007,15 @@ struct DurableStoresRig {
     }
     tip_height = static_cast<std::uint64_t>(blocks);
   }
+
+  /// The checkpoint the issuer sealed at `height`.
+  ckpt::Checkpoint CheckpointAt(std::uint64_t height) const {
+    auto store = ckpt::CheckpointStore::Open(ckpt_dir);
+    if (!store.ok()) throw std::runtime_error("ckpt dir: " + store.message());
+    auto ck = store.value().Load(height);
+    if (!ck.ok()) throw std::runtime_error("ckpt load: " + ck.message());
+    return ck.value();
+  }
 };
 
 TEST(SvcRehydrateTest, RebuildsIndexFromDurableStoresAndServesCertifiedTip) {
@@ -1950,13 +2026,14 @@ TEST(SvcRehydrateTest, RebuildsIndexFromDurableStoresAndServesCertifiedTip) {
   ASSERT_TRUE(certs.ok()) << certs.message();
 
   SpServer server(SpServerConfig{});
-  ASSERT_TRUE(server.Rehydrate(blocks.value(), certs.value()).ok());
+  const StoredChain stores{blocks.value(), certs.value()};
+  ASSERT_TRUE(server.Restore(nullptr, &stores).ok());
   SpServerStats stats = server.Stats();
   EXPECT_EQ(stats.blocks_applied, rig.tip_height);
   EXPECT_EQ(stats.tip_height, rig.tip_height);
 
-  // Rehydrate is a bootstrap, not a merge: a second call must refuse.
-  EXPECT_FALSE(server.Rehydrate(blocks.value(), certs.value()).ok());
+  // Restore is a bootstrap, not a merge: a second call must refuse.
+  EXPECT_FALSE(server.Restore(nullptr, &stores).ok());
 
   // The restored tip serves and its BLOCK certificate validates exactly as a
   // superlight client would check it. The index-certificate slot holds a
@@ -2007,7 +2084,8 @@ TEST(SvcRehydrateTest, RefusesUnreconciledOrMismatchedStores) {
     ASSERT_TRUE(swapped.value().Append(good.value().Get(0).value()).ok());
     ASSERT_TRUE(swapped.value().Append(good.value().Get(2).value()).ok());
     SpServer server(SpServerConfig{});
-    EXPECT_FALSE(server.Rehydrate(blocks.value(), swapped.value()).ok());
+    const StoredChain stores{blocks.value(), swapped.value()};
+    EXPECT_FALSE(server.Restore(nullptr, &stores).ok());
     EXPECT_EQ(server.Stats().blocks_applied, 0u);
   }
 
@@ -2019,10 +2097,214 @@ TEST(SvcRehydrateTest, RefusesUnreconciledOrMismatchedStores) {
     ASSERT_TRUE(certs.ok());
     ASSERT_TRUE(certs.value().TruncateTo(1).ok());
     SpServer server(SpServerConfig{});
-    Status st = server.Rehydrate(blocks.value(), certs.value());
+    const StoredChain stores{blocks.value(), certs.value()};
+    Status st = server.Restore(nullptr, &stores);
     EXPECT_FALSE(st.ok());
     EXPECT_NE(st.message().find("reconcile"), std::string::npos) << st.message();
     EXPECT_EQ(server.Stats().blocks_applied, 0u);
+  }
+}
+
+/// A block log of its own at `name` holding `blocks`, rotating a segment
+/// every `segment_records` blocks (0: one file).
+chain::BlockStore BlockLog(const std::string& name,
+                           const std::vector<chain::Block>& blocks,
+                           std::uint64_t segment_records = 0) {
+  const std::string path = FreshLogPath(::testing::TempDir() + name);
+  auto store = segment_records == 0
+                   ? chain::BlockStore::Open(path)
+                   : chain::BlockStore::Open(path, segment_records);
+  if (!store.ok()) throw std::runtime_error("open: " + store.message());
+  for (const chain::Block& blk : blocks) {
+    if (Status st = store.value().Append(blk); !st) {
+      throw std::runtime_error("append: " + st.message());
+    }
+  }
+  return std::move(store.value());
+}
+
+/// A cert log of its own at `name` holding `certs`.
+core::CertificateStore CertLog(const std::string& name,
+                               const std::vector<core::BlockCertificate>& certs) {
+  auto store = core::CertificateStore::Open(
+      FreshLogPath(::testing::TempDir() + name));
+  if (!store.ok()) throw std::runtime_error("open: " + store.message());
+  for (const core::BlockCertificate& cert : certs) {
+    if (Status st = store.value().Append(cert); !st) {
+      throw std::runtime_error("append: " + st.message());
+    }
+  }
+  return std::move(store.value());
+}
+
+/// One SpServer::Restore call and what it must do: succeed with `tip_height`
+/// and `applied` (a checkpoint counts as one applied block) and then refuse
+/// a second call, or fail naming `error` with `applied` blocks kept.
+struct RestoreCase {
+  std::string name;
+  const ckpt::Checkpoint* ck;
+  const StoredChain* stores;
+  std::string error;  // empty: must succeed
+  std::uint64_t tip_height = 0;
+  std::uint64_t applied = 0;
+};
+
+TEST(SvcRestoreTest, EveryCheckpointAndStoresCombinationAndGuard) {
+  // Six certified blocks with checkpoints sealed at heights 2, 4 and 6.
+  const DurableStoresRig rig("restore_table", 6, /*ckpt_interval=*/2);
+  auto blocks = chain::BlockStore::Open(rig.block_log_path);
+  auto certs = core::CertificateStore::Open(rig.cert_log_path);
+  ASSERT_TRUE(blocks.ok()) << blocks.message();
+  ASSERT_TRUE(certs.ok()) << certs.message();
+  std::vector<chain::Block> chain_blocks;  // genesis first
+  for (std::uint64_t h = 0; h < blocks.value().Count(); ++h) {
+    chain_blocks.push_back(blocks.value().Get(h).value());
+  }
+  ASSERT_EQ(chain_blocks.size(), 7u);
+  std::vector<core::BlockCertificate> chain_certs;
+  for (std::uint64_t i = 0; i < certs.value().Count(); ++i) {
+    chain_certs.push_back(certs.value().Get(i).value());
+  }
+  const StoredChain stores{blocks.value(), certs.value()};
+  const ckpt::Checkpoint ck2 = rig.CheckpointAt(2);
+  const ckpt::Checkpoint ck4 = rig.CheckpointAt(4);
+
+  // Stores that fail a guard.
+  const chain::BlockStore empty_blocks = BlockLog("restore_empty_blocks.log", {});
+  const core::CertificateStore empty_certs = CertLog("restore_empty_certs.log", {});
+  const StoredChain empty{empty_blocks, empty_certs};
+
+  const std::vector<chain::Block> to3(chain_blocks.begin(),
+                                      chain_blocks.begin() + 4);
+  const chain::BlockStore short_blocks = BlockLog("restore_short_blocks.log", to3);
+  const StoredChain short_stores{short_blocks, certs.value()};
+
+  // Sealed segments of two blocks; the two below height 4 are dropped.
+  chain::BlockStore compacted_blocks =
+      BlockLog("restore_compacted_blocks.log", chain_blocks, 2);
+  ASSERT_TRUE(compacted_blocks.CompactBelow(4).ok());
+  ASSERT_EQ(compacted_blocks.BaseHeight(), 4u);
+  const StoredChain compacted{compacted_blocks, certs.value()};
+
+  const std::vector<core::BlockCertificate> first4(chain_certs.begin(),
+                                                   chain_certs.begin() + 4);
+  const core::CertificateStore lagging_certs =
+      CertLog("restore_lagging_certs.log", first4);
+  const StoredChain lagging{blocks.value(), lagging_certs};
+
+  // Another certified chain: its height-4 block is not ck4's tip.
+  std::vector<chain::Block> other_blocks = {chain_blocks[0]};
+  std::vector<core::BlockCertificate> other_certs;
+  for (const AnnounceRequest& ann : Chain().announcements) {
+    other_blocks.push_back(ann.block);
+    other_certs.push_back(ann.block_cert);
+  }
+  const chain::BlockStore foreign_blocks =
+      BlockLog("restore_foreign_blocks.log", other_blocks);
+  const core::CertificateStore foreign_certs =
+      CertLog("restore_foreign_certs.log", other_certs);
+  const StoredChain foreign{foreign_blocks, foreign_certs};
+
+  // Block 2 of the other chain on top of block 1 of this one.
+  const chain::BlockStore broken_blocks = BlockLog(
+      "restore_broken_blocks.log",
+      {chain_blocks[0], chain_blocks[1], other_blocks[2]});
+  const StoredChain broken{broken_blocks, certs.value()};
+
+  std::vector<core::BlockCertificate> swapped = chain_certs;
+  std::swap(swapped[0], swapped[1]);
+  const core::CertificateStore swapped_certs =
+      CertLog("restore_swapped_certs.log", swapped);
+  const StoredChain misfiled{blocks.value(), swapped_certs};
+
+  std::vector<core::BlockCertificate> forged = chain_certs;
+  forged[0].sig = crypto::SecretKey::FromSeed(StrBytes("not-the-enclave"))
+                      .Sign(forged[0].digest);
+  const core::CertificateStore forged_certs =
+      CertLog("restore_forged_certs.log", forged);
+  const StoredChain unattested{blocks.value(), forged_certs};
+
+  // Checkpoints that fail a guard.
+  ckpt::Checkpoint ck_forged = ck4;
+  ck_forged.block_cert.sig = forged[0].sig;
+  ckpt::Checkpoint ck_no_index = ck4;
+  ck_no_index.has_index = false;
+  ckpt::Checkpoint ck_garbage = ck4;
+  ck_garbage.index_content = {0xde, 0xad};
+  ckpt::Checkpoint ck_wrong_digest = ck4;
+  ck_wrong_digest.index_digest[0] ^= 0x01;
+
+  const std::vector<RestoreCase> cases = {
+      {"neither", nullptr, nullptr,
+       "rehydrate: neither a checkpoint nor stores given"},
+      {"checkpoint", &ck4, nullptr, "", 4, 1},
+      {"stores", nullptr, &stores, "", 6, 6},
+      {"checkpoint+stores", &ck4, &stores, "", 6, 3},
+      {"checkpoint+compacted stores", &ck4, &compacted, "", 6, 3},
+      {"empty stores", nullptr, &empty, "rehydrate: empty block store"},
+      {"stores behind checkpoint", &ck4, &short_stores,
+       "rehydrate: block store (4 blocks) is behind checkpoint height 4"},
+      {"compacted stores", nullptr, &compacted,
+       "rehydrate: history below height 4 was compacted; rehydrate from a "
+       "checkpoint instead"},
+      {"stores compacted above checkpoint", &ck2, &compacted,
+       "rehydrate: log history was compacted above checkpoint height 2"},
+      {"lagging certs", nullptr, &lagging,
+       "rehydrate: cert store behind block store (reopen the durable issuer "
+       "to reconcile first)"},
+      {"checkpoint+lagging certs", &ck4, &lagging,
+       "rehydrate: cert store behind block store (reopen the durable issuer "
+       "to reconcile first)"},
+      {"foreign stores", &ck4, &foreign,
+       "rehydrate: checkpoint tip does not match the stored block at height 4"},
+      {"broken chain", nullptr, &broken,
+       "rehydrate: stored chain broken at height 2", 0, 1},
+      {"misfiled certs", nullptr, &misfiled,
+       "rehydrate: certificate does not sign stored block at height 1"},
+      {"unattested cert", nullptr, &unattested, "rehydrate height 1"},
+      {"forged checkpoint", &ck_forged, nullptr, "rehydrate checkpoint"},
+      {"forged checkpoint+stores", &ck_forged, &stores, "rehydrate checkpoint"},
+      {"checkpoint without index", &ck_no_index, nullptr,
+       "rehydrate: checkpoint carries no index content"},
+      {"garbage index content", &ck_garbage, nullptr,
+       "rehydrate index content"},
+      {"index digest not reproduced", &ck_wrong_digest, nullptr,
+       "rehydrate: restored index content does not reproduce the "
+       "checkpoint's certified digest"},
+  };
+  auto tail_gauge =
+      obs::MetricsRegistry::Global().GetGauge("ci.ckpt.sp_tail_replayed");
+  for (const RestoreCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    tail_gauge->Set(-1);
+    SpServer server(SpServerConfig{});
+    Status st = server.Restore(c.ck, c.stores);
+    if (!c.error.empty()) {
+      ASSERT_FALSE(st.ok());
+      EXPECT_NE(st.message().find(c.error), std::string::npos) << st.message();
+      EXPECT_EQ(server.Stats().blocks_applied, c.applied);
+      EXPECT_EQ(tail_gauge->Value(), -1);
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << st.message();
+    EXPECT_EQ(server.Stats().tip_height, c.tip_height);
+    EXPECT_EQ(server.Stats().blocks_applied, c.applied);
+    // The tail gauge counts the stored blocks replayed above a checkpoint.
+    EXPECT_EQ(tail_gauge->Value(),
+              c.ck != nullptr && c.stores != nullptr
+                  ? static_cast<std::int64_t>(c.tip_height - c.ck->height)
+                  : -1);
+    // A bootstrap, not a merge: whatever the sources, a second call refuses
+    // and changes nothing.
+    for (const RestoreCase& again : cases) {
+      if (again.ck == nullptr && again.stores == nullptr) continue;
+      Status second = server.Restore(again.ck, again.stores);
+      ASSERT_FALSE(second.ok()) << again.name;
+      EXPECT_EQ(second.message(), "rehydrate: server has already applied blocks")
+          << again.name;
+    }
+    EXPECT_EQ(server.Stats().tip_height, c.tip_height);
+    EXPECT_EQ(server.Stats().blocks_applied, c.applied);
   }
 }
 

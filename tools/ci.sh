@@ -103,7 +103,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|VerifyTxSignatures|CertifyOnce|IssuerPipeline'
+  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|VerifyTxSignatures|CertifyOnce|IssuerPipeline|IssuerIndexGap'
   # Svc matches SvcFaultTest/SvcTcpTest/SvcStatsTest/SvcExecutionTest (the
   # permit-bounded, on-transport-thread execution model); the obs suites cover
   # the concurrent counter/histogram/trace hammering. Fleet|ShardMap|
@@ -115,18 +115,21 @@ ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   # Checkpoint matches the ckpt format/store/issuer/SP-export suites.
   # VerifyTxSignatures and CertifyOnce run the batched signature check
   # across the shared pool; IssuerPipeline the issuer's aux capture, which
-  # runs on the pool for both index schemes.
+  # runs on the pool for both index schemes; IssuerIndexGap the refusals of
+  # the paths that would leave an attached index behind. Svc also matches
+  # SvcWorkflowTest (uncertified blocks move nothing) and SvcRestoreTest
+  # (every checkpoint/stores combination of SpServer::Restore).
 
 echo "=== [3/5] ASan build + serving/transport tests ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target \
-  svc_test net_test thread_pool_test fleet_test obs_test record_log_test \
+  svc_test thread_pool_test fleet_test obs_test record_log_test \
   crash_recovery_test ckpt_test chaos_test common_test dcert_test \
   dcertctl cli_test certify_once_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|Cli|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes|IssuerPipeline'
+  -R 'Serialize|Svc|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|Cli|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes|IssuerPipeline|IssuerIndexGap'
   # Serialize covers the strict field decoders every wire codec sits on.
   # Cli runs the ASan-built dcertctl, including `serve` answering
   # `query tip|hist|agg` over TCP, so the tool's socket path is covered.
@@ -137,7 +140,9 @@ ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   # set creates and frees), IndexSigGenEnvelope the batched certificate
   # checks over faulted fields, HistoricalApplyBlock the SP's index apply
   # against the aux-capturing one, EcallInputBytes the byte counts,
-  # IssuerPipeline the refused blocks that must commit nothing.
+  # IssuerPipeline the refused blocks that must commit nothing,
+  # IssuerIndexGap the refused adopt, batch and backfill calls. Svc runs
+  # SvcWorkflowTest and SvcRestoreTest with the rest of svc_test.
 
 echo "=== [4/5] TSan + forced-scalar hashing (dispatch fallback path) ==="
 # Same TSan build, but every digest takes the portable scalar road. The
@@ -156,7 +161,7 @@ cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target \
   mbtree_test common_test dcert_test svc_test fleet_test certify_once_test
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight|Fleet|ShardMap|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes|IssuerPipeline'
+  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight|Fleet|ShardMap|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes|IssuerPipeline|IssuerIndexGap'
   # Sha256BatchTest exercises every supported multi-buffer backend (AVX2
   # lane loads, SHA-NI interleaves); VerifyBatchTest covers the combined
   # verification equation; ArenaTest covers the placement-new pool.
@@ -166,6 +171,7 @@ ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   # bit. Fleet and ShardMap run the fleet client's tip memo, failover and
   # the shard arithmetic. The certify_once selection (as under ASan) runs
   # the commit rollback, the four-signature IndexSigGen batch, the SP's
-  # ApplyBlock and the issuer pipeline's refusals.
+  # ApplyBlock, the issuer pipeline's refusals and the index-gap refusals;
+  # Svc includes the workflow and restore tables.
 
 echo "CI OK"

@@ -780,7 +780,7 @@ int CmdServe(int port, int blocks, int txs, const std::string& shard_spec,
       return 1;
     }
     if (latest.value().has_value()) {
-      if (Status st = server.RehydrateFromCheckpoint(*latest.value()); !st) {
+      if (Status st = server.Restore(&*latest.value(), nullptr); !st) {
         std::fprintf(stderr, "checkpoint rehydrate failed: %s\n",
                      st.message().c_str());
         return 1;
