@@ -57,8 +57,7 @@ void StateDB::ApplyWrites(const StateMap& writes, StateMap* prior) {
     }
     leaves[key] = StateValueHash(value);
   }
-  // One bulk SMT pass (parallel rehash for large write sets) instead of
-  // per-key root recomputation.
+  // One bulk SMT pass: every changed node is hashed once, after all writes.
   smt_.UpdateBatch(leaves);
 }
 

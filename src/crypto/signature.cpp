@@ -139,18 +139,20 @@ bool CombinedCheck(const std::vector<BatchTerm>& terms, std::size_t lo,
                    std::size_t hi) {
   const ModArith& fn = Curve().Fn();
   U256 s_sum(0);
-  std::map<Bytes, std::pair<const PublicKey*, U256>> per_pk;
+  // Terms of one key merge into one scalar; keyed by the point itself.
+  std::map<std::pair<U256, U256>, std::pair<const PublicKey*, U256>> per_pk;
   std::vector<MsmTerm> msm;
   msm.reserve(hi - lo + 2);
   for (std::size_t i = lo; i < hi; ++i) {
     const BatchTerm& t = terms[i];
     s_sum = fn.Add(s_sum, fn.Mul(t.a, t.s));
     msm.push_back({fn.Neg(t.a), t.r});
-    auto [it, fresh] = per_pk.try_emplace(t.pk->Serialize(), t.pk, t.ae);
+    auto [it, fresh] =
+        per_pk.try_emplace({t.pk->point.x, t.pk->point.y}, t.pk, t.ae);
     if (!fresh) it->second.second = fn.Add(it->second.second, t.ae);
   }
   msm.push_back({s_sum, Generator()});
-  for (const auto& [bytes, entry] : per_pk) {
+  for (const auto& [point, entry] : per_pk) {
     msm.push_back({fn.Neg(entry.second), entry.first->point});
   }
   return MultiScalarMul(msm.data(), msm.size()).IsInfinity();

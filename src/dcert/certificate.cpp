@@ -1,5 +1,8 @@
 #include "dcert/certificate.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "crypto/sha256.h"
 
 namespace dcert::core {
@@ -52,17 +55,41 @@ Status VerifyCertificateEnvelope(const BlockCertificate& cert,
   return VerifyCertificateEnvelopesBatch(&one, 1, expected_measurement)[0];
 }
 
+bool VerifiedReports::Contains(const Hash256& quote_digest,
+                               const crypto::Signature& ias_sig) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::find(entries_.begin(), entries_.end(),
+                   std::make_pair(quote_digest, ias_sig)) != entries_.end();
+}
+
+void VerifiedReports::Add(const Hash256& quote_digest,
+                          const crypto::Signature& ias_sig) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto entry = std::make_pair(quote_digest, ias_sig);
+  if (std::find(entries_.begin(), entries_.end(), entry) != entries_.end()) return;
+  if (entries_.size() == kCapacity) entries_.pop_front();
+  entries_.push_back(entry);
+}
+
 std::vector<Status> VerifyCertificateEnvelopesBatch(
     const BlockCertificate* const* certs, std::size_t n,
-    const Hash256& expected_measurement) {
+    const Hash256& expected_measurement, VerifiedReports* known) {
   const crypto::PublicKey& ias_pk = sgxsim::AttestationService::IasPublicKey();
+  constexpr std::size_t kKnown = SIZE_MAX;  // IAS signature held by `known`
   std::vector<Hash256> quote_digests(n);
-  std::vector<crypto::VerifyJob> jobs(2 * n);
+  std::vector<std::size_t> ias_job(n, kKnown), sig_job(n);
+  std::vector<crypto::VerifyJob> jobs;
+  jobs.reserve(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
     const BlockCertificate& cert = *certs[i];
     quote_digests[i] = cert.report.quote.Digest();
-    jobs[2 * i] = {&ias_pk, &quote_digests[i], &cert.report.ias_signature};
-    jobs[2 * i + 1] = {&cert.pk_enc, &cert.digest, &cert.sig};
+    if (known == nullptr ||
+        !known->Contains(quote_digests[i], cert.report.ias_signature)) {
+      ias_job[i] = jobs.size();
+      jobs.push_back({&ias_pk, &quote_digests[i], &cert.report.ias_signature});
+    }
+    sig_job[i] = jobs.size();
+    jobs.push_back({&cert.pk_enc, &cert.digest, &cert.sig});
   }
   std::vector<bool> sig_ok = crypto::VerifyBatch(jobs.data(), jobs.size());
 
@@ -72,14 +99,19 @@ std::vector<Status> VerifyCertificateEnvelopesBatch(
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const BlockCertificate& cert = *certs[i];
-    if (!sig_ok[2 * i]) {
+    const bool checked = ias_job[i] != kKnown;
+    const bool ias_ok = !checked || sig_ok[ias_job[i]];
+    if (checked && ias_ok && known != nullptr) {
+      known->Add(quote_digests[i], cert.report.ias_signature);
+    }
+    if (!ias_ok) {
       out.push_back(Status::Error("attestation report is not signed by the IAS"));
     } else if (cert.report.quote.measurement != expected_measurement) {
       out.push_back(Status::Error("certificate enclave measurement mismatch"));
     } else if (cert.report.quote.report_data != KeyBindingReportData(cert.pk_enc)) {
       out.push_back(
           Status::Error("enclave key does not match the attestation report"));
-    } else if (!sig_ok[2 * i + 1]) {
+    } else if (!sig_ok[sig_job[i]]) {
       out.push_back(Status::Error("certificate signature invalid"));
     } else {
       out.push_back(Status::Ok());

@@ -6,6 +6,9 @@
 //    block it reflects.
 #pragma once
 
+#include <deque>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -39,6 +42,22 @@ Hash256 IndexCertDigest(const Hash256& header_hash, const Hash256& index_digest)
 /// enclave-generated key into the attestation report.
 Hash256 KeyBindingReportData(const crypto::PublicKey& pk_enc);
 
+/// IAS report signatures already checked, as (quote digest, IAS signature)
+/// pairs that verified: the most recent kCapacity, oldest evicted first.
+/// Thread-safe. A CI carries one report in every certificate, so a verifier
+/// that keeps one checks that report's signature once.
+class VerifiedReports {
+ public:
+  static constexpr std::size_t kCapacity = 4;
+
+  bool Contains(const Hash256& quote_digest, const crypto::Signature& ias_sig) const;
+  void Add(const Hash256& quote_digest, const crypto::Signature& ias_sig);
+
+ private:
+  mutable std::mutex mu_;
+  std::deque<std::pair<Hash256, crypto::Signature>> entries_;
+};
+
 /// cert_verify_t (Alg. 2 lines 25-32) minus the final digest comparison —
 /// shared by the enclave program and the superlight client:
 ///  (i)   rep is signed by the IAS;
@@ -51,10 +70,13 @@ Hash256 KeyBindingReportData(const crypto::PublicKey& pk_enc);
 /// Every signature of the n certificates (the IAS report signature and the
 /// enclave digest signature of each) goes through one crypto::VerifyBatch —
 /// the n IAS checks share a single point term — and the structural checks
-/// run per certificate. Returns one status per certificate, in order.
+/// run per certificate. With `known`, an IAS signature it holds counts as
+/// verified without a check, and each one that verifies is added to it; the
+/// verdicts are the same either way. Returns one status per certificate, in
+/// order.
 std::vector<Status> VerifyCertificateEnvelopesBatch(
     const BlockCertificate* const* certs, std::size_t n,
-    const Hash256& expected_measurement);
+    const Hash256& expected_measurement, VerifiedReports* known = nullptr);
 
 /// VerifyCertificateEnvelopesBatch on one certificate (its two signatures
 /// in one batch).

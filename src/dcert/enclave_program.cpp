@@ -83,7 +83,7 @@ Status CertEnclaveProgram::VerifyPrev(
   std::vector<const BlockCertificate*> certs;
   for (const CertCheck& c : checks) certs.push_back(c.cert);
   std::vector<Status> env = VerifyCertificateEnvelopesBatch(
-      certs.data(), certs.size(), own_measurement_);
+      certs.data(), certs.size(), own_measurement_, verified_reports_.get());
   for (std::size_t i = 0; i < checks.size(); ++i) {
     if (!env[i]) return env[i].WithContext("cert_verify_t");
     if (checks[i].cert->digest != checks[i].digest) {
@@ -116,7 +116,9 @@ Status CertEnclaveProgram::BlkVerify(const chain::BlockHeader& prev_hdr,
     return Status::Error("blk_verify_t: transaction root mismatch");
   }
   // Line 17: read-set (and write-neighborhood) integrity against the
-  // previous state root.
+  // previous state root. Passing it also pins down what every proof entry
+  // is (a parent's tag binds its children's kinds), so the root computed
+  // below for the new values is the one every full node computes.
   std::map<Hash256, Hash256> old_leaves = update_proof.OldLeaves();
   if (mht::SparseMerkleTree::ComputeRootFromProof(update_proof.smt_proof,
                                                   old_leaves) !=

@@ -125,6 +125,10 @@ class CertEnclaveProgram {
   std::shared_ptr<const chain::ContractRegistry> registry_;
   crypto::SecretKey signing_key_;
   Hash256 own_measurement_;
+  /// The IAS report signatures cert_verify_t has already checked: the CI's
+  /// one report rides in every certificate, so it is checked once.
+  std::unique_ptr<VerifiedReports> verified_reports_ =
+      std::make_unique<VerifiedReports>();
 };
 
 }  // namespace dcert::core

@@ -14,13 +14,17 @@ void EncodeStateMap(Encoder& enc, const chain::StateMap& map) {
   }
 }
 
+/// Accepts only EncodeStateMap's output: keys strictly ascending.
 chain::StateMap DecodeStateMap(Decoder& dec) {
   chain::StateMap map;
   std::uint32_t n = dec.U32();
   for (std::uint32_t i = 0; i < n; ++i) {
     Hash256 key = dec.HashField();
     std::uint64_t value = dec.U64();
-    map.emplace(key, value);
+    if (!map.empty() && !(map.rbegin()->first < key)) {
+      throw DecodeError("state map keys not ascending");
+    }
+    map.emplace_hint(map.end(), key, value);
   }
   return map;
 }

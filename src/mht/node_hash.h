@@ -14,13 +14,16 @@ enum class NodeTag : std::uint8_t {
   kMerkleLeaf = 0x00,      // binary MHT leaf
   kMerkleInternal = 0x01,  // binary MHT internal node
   kSmtLeaf = 0x02,         // sparse Merkle tree leaf
-  kSmtInternal = 0x03,     // sparse Merkle tree internal node
   kMbLeaf = 0x04,          // Merkle B-tree leaf node
   kMbInternal = 0x05,      // Merkle B-tree internal node
   kMptLeaf = 0x06,         // Merkle Patricia trie leaf
   kMptBranch = 0x07,       // Merkle Patricia trie branch
   kSkipNode = 0x08,        // authenticated skip list node
   kChainStep = 0x09,       // hash-chain bucket step (inverted index)
+  // Sparse Merkle tree internal node: 0x10 + 3 * kind(left) + kind(right),
+  // kinds 0 = empty, 1 = leaf, 2 = internal (0x10..0x18), so a parent binds
+  // what each child is as well as its hash.
+  kSmtInternal = 0x10,
 };
 
 /// H(tag || payload).

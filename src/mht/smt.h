@@ -2,11 +2,18 @@
 // global state (H_state in the block header, the binary tree of the paper's
 // Fig. 1/Fig. 4).
 //
-// The tree is conceptually a full binary tree of depth kDepth whose leaf slots
-// are addressed by the first kDepth bits of the (hashed) key; empty subtrees
-// hash to precomputed defaults. The in-memory representation is
-// path-compressed (singleton subtrees are stored as a single leaf node), so
-// storage is O(#keys) while hashes remain identical to the full-depth model.
+// Keys address a binary trie by their first kDepth bits. A subtree's hash
+// depends only on the keys it holds:
+//  * none: the constant EmptyHash();
+//  * exactly one: LeafNodeHash(key, value_hash), at whatever level the key
+//    becomes alone — where the paper's Ethereum MPT and Diem's Jellyfish
+//    Merkle tree end a path;
+//  * two or more: H(tag || left || right), the tag binding each child's kind
+//    (empty, leaf or internal; see NodeTag::kSmtInternal).
+// A path therefore costs about log2(#keys) hashes, not kDepth. The tree
+// stores exactly these nodes: one leaf where its key becomes alone, and a
+// branch for every subtree of two or more keys, so deleting a key lifts a
+// leaf left alone up to where it is alone again.
 //
 // Two halves of the paper's protocol live here:
 //  * the untrusted CI calls ProveKeys() to build the update proof π_i over the
@@ -20,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/arena.h"
@@ -27,15 +35,11 @@
 #include "common/serialize.h"
 #include "common/status.h"
 
-namespace dcert::common {
-class ThreadPool;
-}
-
 namespace dcert::mht {
 
-/// Identifies one node of the conceptual full-depth tree: the node at `level`
-/// whose path from the root is the first `level` bits of `prefix` (remaining
-/// bits zero). Level 0 is the root, level kDepth the leaves.
+/// Identifies one node of the trie: the node at `level` whose path from the
+/// root is the first `level` bits of `prefix` (remaining bits zero). Level 0
+/// is the root.
 struct SmtNodeId {
   std::uint16_t level = 0;
   Hash256 prefix;
@@ -43,20 +47,32 @@ struct SmtNodeId {
   auto operator<=>(const SmtNodeId&) const = default;
 };
 
-/// Sibling hashes needed to recompute the root for a covered key set.
-/// Entries equal to the level's default hash are omitted.
+/// Everything beside the covered keys' paths that the root depends on: each
+/// nonempty subtree hanging off a covered path, and the leaf a covered key's
+/// path ends at when another key sits there. A subtree holding one key
+/// travels as that key's (key, value hash), so a verifier can split it (a
+/// covered key inserted into its slot), lift it (its covered neighbours
+/// deleted) or prove a covered key absent; one with two or more keys
+/// travels as its hash.
 struct SmtMultiProof {
+  /// Subtrees of two or more keys, by node.
   std::map<SmtNodeId, Hash256> siblings;
+  /// Subtrees of one key: key -> value hash (never zero).
+  std::map<Hash256, Hash256> leaves;
 
+  /// Canonical: entries in map order. Deserialize accepts only that order
+  /// (strictly ascending, canonical prefixes, nonzero values), so any bytes
+  /// it accepts re-serialize to themselves.
   Bytes Serialize() const;
   static Result<SmtMultiProof> Deserialize(ByteView data);
-  std::size_t ByteSize() const { return siblings.size() * (2 + 32 + 32) + 4; }
+  std::size_t ByteSize() const {
+    return 4 + siblings.size() * (2 + 32 + 32) + 4 + leaves.size() * (32 + 32);
+  }
 };
 
 class SparseMerkleTree {
  public:
-  /// Path depth in bits. 160 key-prefix bits keep second-preimage resistance
-  /// at the usual 160-bit level while costing 60% of the full-depth hashing.
+  /// Path depth in bits: keys whose first 160 bits agree address one slot.
   static constexpr int kDepth = 160;
 
   SparseMerkleTree();
@@ -70,22 +86,11 @@ class SparseMerkleTree {
   /// key (an empty slot and a zero-valued slot are the same thing).
   void Update(const Hash256& key, const Hash256& value_hash);
 
-  /// Deferred-rehash strategy for bulk updates. kBatched collects dirty
-  /// nodes per level and feeds sibling-pair jobs through the multi-buffer
-  /// hasher (crypto::HashMany lanes); kPerNode is the legacy recursive
-  /// per-node walk, kept as the equivalence baseline for tests and A/B
-  /// benches. Both produce byte-identical trees.
-  enum class RehashMode { kBatched, kPerNode };
-
   /// Bulk update: applies every (key, value-hash) entry (zero value hash =
-  /// delete), deferring internal-node hashing to one bottom-up pass at the
-  /// end; large batches fan independent dirty subtrees out across `pool`.
-  /// The resulting tree (hashes, structure) is identical to calling Update
-  /// per entry in map order.
+  /// delete), deferring hashing to one bottom-up pass over the changed
+  /// nodes at the end. The resulting tree (hashes, structure) is identical to
+  /// calling Update per entry in map order.
   void UpdateBatch(const std::map<Hash256, Hash256>& entries);
-  void UpdateBatchWith(const std::map<Hash256, Hash256>& entries,
-                       common::ThreadPool& pool,
-                       RehashMode mode = RehashMode::kBatched);
 
   /// Returns the stored value hash, or the zero hash when absent.
   Hash256 Get(const Hash256& key) const;
@@ -96,70 +101,44 @@ class SparseMerkleTree {
   std::size_t ArenaSlots() const;
 
   /// Builds a multiproof covering every key in `keys` (present or absent —
-  /// absence is provable). Duplicates are fine. Large key sets are proved in
-  /// parallel over the shared pool; the proof is byte-identical to the
-  /// serial one (sibling sets are merged into one ordered map).
+  /// absence is provable). Duplicates are fine.
   SmtMultiProof ProveKeys(const std::vector<Hash256>& keys) const;
-  SmtMultiProof ProveKeysSerial(const std::vector<Hash256>& keys) const;
-  SmtMultiProof ProveKeysParallel(const std::vector<Hash256>& keys,
-                                  common::ThreadPool& pool) const;
 
   /// Stateless root recomputation: given a multiproof and the claimed leaf
   /// values for the covered keys (zero hash = absent), recomputes the root.
   /// Used by the enclave both to *verify* claimed values against a trusted
   /// root and to *update* the root after overwriting some of the leaves.
-  /// The proof must cover exactly the keys of `leaves` (missing siblings make
-  /// the computed root wrong, which the caller's comparison then catches).
+  /// Missing or wrong proof entries make the computed root wrong, which the
+  /// caller's comparison then catches. A proof that contradicts the covered
+  /// keys — a proof leaf on a covered key's path, a proof subtree a covered
+  /// path runs into, an entry inside a proof subtree, or two entries on one
+  /// path — yields the zero hash, which is no tree's root.
   static Hash256 ComputeRootFromProof(
       const SmtMultiProof& proof, const std::map<Hash256, Hash256>& leaves);
 
-  /// Default (all-empty) subtree hash at `level` in [0, kDepth].
-  static const Hash256& DefaultHash(int level);
+  /// Root of the empty tree (and hash of every empty subtree).
+  static const Hash256& EmptyHash();
 
-  /// Hash of an occupied leaf slot; binds the full key, not just the path.
+  /// Hash of a subtree holding exactly one key; binds the full key.
   static Hash256 LeafNodeHash(const Hash256& key, const Hash256& value_hash);
 
  private:
   struct Node;
   using NodePtr = common::ArenaPtr<Node>;
 
-  /// Smallest per-thread share of a multiproof key set worth a task handoff.
-  static constexpr std::size_t kMinKeysPerChunk = 16;
-
-  /// A deferred sibling fold discovered during proof collection; the actual
-  /// hash chain runs batched across all pending folds afterwards.
-  struct PendingFold {
-    SmtNodeId id;
-    Hash256 key;
-    Hash256 value_hash;
-  };
-
-  /// Appends the proof siblings for one key to `sink`; resident-leaf
-  /// siblings that need a default-fold are deferred into `folds` (ids
-  /// covered by other proof keys, per `paths`, are skipped).
-  void CollectSiblings(const Hash256& key, const std::vector<Hash256>& paths,
-                       std::map<SmtNodeId, Hash256>& sink,
-                       std::vector<PendingFold>& folds) const;
-
-  /// Batch-resolves deferred folds into `sink` (multi-buffer hashing across
-  /// all pending chains), preserving the first-insertion-wins map semantics.
-  static void ResolveFolds(std::vector<PendingFold>& folds,
-                           std::map<SmtNodeId, Hash256>& sink);
+  /// Adds to `proof` what the subtree at `node` (level `level`) contributes
+  /// for the sorted covered `paths` that run through it.
+  static void Prove(const Node* node, int level, std::span<const Hash256> paths,
+                    SmtMultiProof& proof);
 
   NodePtr MakeNode();
   NodePtr InsertRec(NodePtr node, int level, const Hash256& key,
                     const Hash256& value_hash, bool defer_hash);
   NodePtr RemoveRec(NodePtr node, int level, const Hash256& key, bool& removed,
                     bool defer_hash);
-  /// Recomputes the hashes of dirty subtrees bottom-up, per-node (legacy).
-  /// With a pool, dirty sibling subtrees in the top `par_levels` levels run
-  /// concurrently.
-  static void RehashRec(Node* node, int level, common::ThreadPool* pool,
-                        int par_levels);
-  /// Level-batched rehash: dirty leaves fold level-by-level across the whole
-  /// batch, dirty branches hash per depth, all through the multi-buffer
-  /// hasher; large levels shard over `pool`.
-  static void RehashBatched(Node* root, common::ThreadPool* pool);
+  /// Recomputes the hashes of the dirty nodes under `root`, level by level
+  /// from the deepest, each level in one batch.
+  static void Rehash(Node* root);
 
   // The arena outlives root_ (declared first => destroyed last), which is
   // what makes the ArenaPtr-based tree safe to tear down member-wise.

@@ -4,14 +4,19 @@
 // pre-processing skips them, the CI commits the prepared write set through
 // FullNode::AppendExecuted (apply, compare, roll back on a mismatch), block
 // bodies are shared between copies, IndexSigGen checks its two certificates
-// in one signature batch with the sequential error order, an SP's
-// HistoricalIndex::ApplyBlock matches the aux-capturing apply, an Ecall's
-// input bytes are the serialized sizes, the issuer's certification
-// pipeline commits nothing for a block any Ecall or digest check refuses,
-// and the paths that would leave an attached index behind refuse.
+// in one signature batch with the sequential error order, the enclave checks
+// the CI's report signature once, an SP's HistoricalIndex::ApplyBlock
+// matches the aux-capturing apply, an Ecall's input bytes are the serialized
+// sizes, the issuer's certification pipeline commits nothing for a block any
+// Ecall or digest check refuses, the paths that would leave an attached
+// index behind refuse, and a forged state-tree proof cannot get a
+// non-canonical state root certified.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -20,6 +25,7 @@
 #include "common/rng.h"
 #include "crypto/sha256.h"
 #include "dcert/certificate.h"
+#include "dcert/enclave_program.h"
 #include "dcert/issuer.h"
 #include "dcert/naive_enclave.h"
 #include "dcert/update_proof.h"
@@ -899,6 +905,184 @@ TEST(IssuerIndexGapTest, BackfillRefusesAHostThatIsNotFresh) {
                 std::make_shared<query::HistoricalIndex>("historical"))
           .ok());
   EXPECT_EQ(rig.ci->IndexCount(), 1u);
+}
+
+TEST(CertifyOnceTest, VerifiedReportsHoldOnlyPairsThatVerified) {
+  Rig rig(/*with_index=*/false);
+  chain::Block b1 = rig.MineNext();
+  rig.Submit(b1);
+  auto cert = rig.ci->ProcessBlock(b1);
+  ASSERT_TRUE(cert.ok()) << cert.message();
+  const Hash256 measurement = ExpectedEnclaveMeasurement();
+  const auto check = [&](const BlockCertificate& c, VerifiedReports& memo) {
+    const BlockCertificate* one = &c;
+    return VerifyCertificateEnvelopesBatch(&one, 1, measurement, &memo)[0];
+  };
+  const BlockCertificate& good = cert.value();
+  BlockCertificate forged = good;
+  forged.report.ias_signature.s =
+      crypto::Curve().Fn().Add(forged.report.ias_signature.s, crypto::U256(1));
+  const Hash256 quote = good.report.quote.Digest();
+
+  // A failed check is never remembered; a passed one is.
+  VerifiedReports memo;
+  EXPECT_EQ(check(forged, memo).message(),
+            "attestation report is not signed by the IAS");
+  EXPECT_FALSE(memo.Contains(quote, forged.report.ias_signature));
+  EXPECT_TRUE(check(good, memo).ok());
+  EXPECT_TRUE(memo.Contains(quote, good.report.ias_signature));
+  EXPECT_TRUE(check(good, memo).ok());
+
+  // A pair it holds is not checked again: that is the saving, and why only
+  // verified pairs may enter.
+  memo.Add(quote, forged.report.ias_signature);
+  EXPECT_TRUE(check(forged, memo).ok());
+
+  // Bounded: kCapacity newer pairs evict both.
+  for (std::size_t i = 0; i < VerifiedReports::kCapacity; ++i) {
+    Hash256 other;
+    other[0] = static_cast<std::uint8_t>(i + 1);
+    memo.Add(other, good.report.ias_signature);
+  }
+  EXPECT_FALSE(memo.Contains(quote, good.report.ias_signature));
+  EXPECT_FALSE(memo.Contains(quote, forged.report.ias_signature));
+}
+
+// --- A forged delete root ----------------------------------------------------
+//
+// The state tree hashes a one-key subtree as its leaf, so deleting a key whose
+// sibling holds one other key lifts that leaf. An update proof that hands the
+// sibling over as an opaque hash would let the enclave skip the lift and sign
+// a root no honest full node computes.
+
+/// Bits `a` shares with `b` from the top.
+int SharedBits(const Hash256& a, const Hash256& b) {
+  int i = 0;
+  while (i < 256 && a.Bit(static_cast<std::size_t>(i)) ==
+                        b.Bit(static_cast<std::size_t>(i))) {
+    ++i;
+  }
+  return i;
+}
+
+/// `h` with every bit from `level` on cleared (an SmtNodeId prefix).
+Hash256 PrefixOf(Hash256 h, int level) {
+  for (int i = level; i < 256; ++i) {
+    if (h.Bit(static_cast<std::size_t>(i))) {
+      h[static_cast<std::size_t>(i / 8)] ^= static_cast<std::uint8_t>(0x80 >> (i % 8));
+    }
+  }
+  return h;
+}
+
+/// The one key beside `key`'s leaf in the tree of `state` (sets `level` to
+/// the leaf's level), or nullopt when that sibling holds two or more keys.
+std::optional<Hash256> LoneSibling(const chain::StateMap& state,
+                                   const Hash256& key, int& level) {
+  level = 0;
+  for (const auto& [k, v] : state) {
+    if (k != key) level = std::max(level, SharedBits(k, key) + 1);
+  }
+  std::optional<Hash256> lone;
+  int n = 0;
+  for (const auto& [k, v] : state) {
+    if (k != key && SharedBits(k, key) == level - 1) {
+      lone = k;
+      ++n;
+    }
+  }
+  return n == 1 ? lone : std::nullopt;
+}
+
+TEST(SmtForgedDeleteRootTest, EnclaveAndHierarchicalCertificationRefuseIt) {
+  Rig rig(/*with_index=*/true);
+  const Hash256 deleter_nonce = chain::NonceKey(rig.pool.PublicKeyAt(0));
+  chain::Block prev;
+  std::uint64_t contract = 0, slot = 0;
+  Hash256 sibling;
+  int level = 0;
+  for (int i = 0; i < 8 && sibling.IsZero(); ++i) {
+    prev = rig.MineNext();
+    rig.Submit(prev);
+    ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(prev).ok());
+    const chain::StateMap state = rig.ci->Node().State().Snapshot();
+    for (const chain::Transaction& tx : prev.txs) {
+      if (tx.calldata.at(0) == 1) continue;  // a KV get writes no slot
+      const Hash256 key = chain::SlotKey(tx.contract_id, tx.calldata.at(1));
+      auto lone = LoneSibling(state, key, level);
+      if (state.count(key) != 0 && lone && *lone != deleter_nonce) {
+        contract = tx.contract_id;
+        slot = tx.calldata.at(1);
+        sibling = *lone;
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(sibling.IsZero()) << "no KV slot with a one-key sibling";
+
+  // The honest deletion and its honest update proof.
+  auto del = rig.miner->MineBlock({rig.pool.MakeTx(0, contract, {0, slot, 0})},
+                                  1000 + rig.miner_node->Height());
+  ASSERT_TRUE(del.ok()) << del.message();
+  const chain::StateDB& state = rig.ci->Node().State();
+  auto exec = chain::ExecuteBlockTxs(del.value().txs, *rig.registry, state);
+  ASSERT_TRUE(exec.ok()) << exec.message();
+  const StateUpdateProof honest =
+      BuildStateUpdateProof(exec.value().reads, exec.value().writes, state);
+  ASSERT_EQ(honest.smt_proof.leaves.count(sibling), 1u);
+
+  // The forged proof: the one-key sibling as an opaque hash. Its new root
+  // keeps the sibling where it was instead of lifting it.
+  StateUpdateProof forged = honest;
+  const Hash256 sibling_vh = forged.smt_proof.leaves.at(sibling);
+  forged.smt_proof.leaves.erase(sibling);
+  forged.smt_proof.siblings[{static_cast<std::uint16_t>(level),
+                             PrefixOf(sibling, level)}] =
+      mht::SparseMerkleTree::LeafNodeHash(sibling, sibling_vh);
+  std::map<Hash256, Hash256> new_leaves = forged.OldLeaves();
+  for (const auto& [k, v] : exec.value().writes) {
+    new_leaves[k] = chain::StateValueHash(v);
+  }
+  const Hash256 skewed =
+      mht::SparseMerkleTree::ComputeRootFromProof(forged.smt_proof, new_leaves);
+  ASSERT_FALSE(skewed.IsZero());
+  ASSERT_NE(skewed, del.value().header.state_root);
+  chain::Block bad = del.value();
+  bad.header.state_root = skewed;
+  chain::MineNonce(bad.header);
+
+  // The enclave refuses the forged proof that would certify `bad`.
+  EnclaveConfig ec;
+  ec.genesis_hash = chain::MakeGenesisBlock(rig.config).header.Hash();
+  ec.registry_digest = rig.registry->Digest();
+  ec.difficulty_bits = rig.config.difficulty_bits;
+  CertEnclaveProgram program(ec, rig.registry, StrBytes("dcert-ci-key"));
+  auto sig = program.SigGen(prev.header, rig.ci->LatestCert(), bad, forged);
+  ASSERT_FALSE(sig.ok());
+  EXPECT_NE(sig.message().find("update proof does not match H_state"),
+            std::string::npos)
+      << sig.message();
+  // With the honest proof, the root it computes is not the header's.
+  auto wrong_root = program.SigGen(prev.header, rig.ci->LatestCert(), bad, honest);
+  ASSERT_FALSE(wrong_root.ok());
+  EXPECT_NE(wrong_root.message().find("updated state root mismatch"),
+            std::string::npos)
+      << wrong_root.message();
+  EXPECT_TRUE(
+      program.SigGen(prev.header, rig.ci->LatestCert(), del.value(), honest).ok());
+
+  // The CI proves the block itself and refuses the header's root, committing
+  // nothing; the honest deletion then certifies.
+  const CiSnapshot before = CiSnapshot::Of(rig);
+  auto refused = rig.ci->ProcessBlockHierarchical(bad);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.message().find("state root"), std::string::npos)
+      << refused.message();
+  before.ExpectSame(rig);
+  rig.Submit(del.value());
+  ASSERT_TRUE(rig.ci->ProcessBlockHierarchical(del.value()).ok());
+  EXPECT_EQ(rig.ci->Node().State().Root(), del.value().header.state_root);
+  EXPECT_EQ(rig.ci->Node().State().Load(chain::SlotKey(contract, slot)), 0u);
 }
 
 }  // namespace

@@ -15,10 +15,10 @@ namespace dcert::core {
 namespace {
 
 // SHA-256 over every block certificate and index certificate, serialized, in
-// block order. Recorded from the seed implementation; a change here means
-// certificates are no longer byte-compatible with earlier issuers.
+// block order. A change here means certificates are no longer byte-compatible
+// with earlier issuers; CHANGES.md records each re-capture and its reason.
 constexpr char kGoldenCertDigest[] =
-    "122c795b960934cca4a77f23a27bb4a0fe6312f185f8d16f1d196128c818cbc6";
+    "cd4e2273d375d06a5e75cd934d2661b0c231165fc528e38712266e68308155e7";
 
 TEST(GoldenCertTest, HierarchicalChainCertificatesAreByteIdentical) {
   chain::ChainConfig config;

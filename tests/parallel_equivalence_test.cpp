@@ -1,13 +1,11 @@
-// Determinism proofs for the parallel hot paths: whatever the scheduling,
-// the parallel implementations must produce byte-identical proofs, roots
-// and digests to their serial counterparts.
+// Equivalence of the SMT's bulk update with one Update per key: the deferred
+// rehash must leave byte-identical roots, sizes and proofs.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/sha256.h"
 #include "mht/smt.h"
 
@@ -27,40 +25,7 @@ mht::SparseMerkleTree RandomTree(Rng& rng, std::size_t n,
   return tree;
 }
 
-TEST(ParallelEquivalenceTest, ProveKeysParallelMatchesSerial) {
-  common::ThreadPool pool(4);
-  Rng rng(7);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<Hash256> present;
-    mht::SparseMerkleTree tree = RandomTree(rng, 300, &present);
-    // Mix of present keys (with duplicates) and absent keys.
-    std::vector<Hash256> query;
-    for (int i = 0; i < 200; ++i) {
-      query.push_back(present[rng.NextBelow(present.size())]);
-    }
-    for (int i = 0; i < 50; ++i) query.push_back(RandomHash(rng));
-    query.push_back(query.front());
-
-    mht::SmtMultiProof serial = tree.ProveKeysSerial(query);
-    mht::SmtMultiProof parallel = tree.ProveKeysParallel(query, pool);
-    EXPECT_EQ(serial.Serialize(), parallel.Serialize()) << "round " << round;
-    EXPECT_EQ(serial.Serialize(), tree.ProveKeys(query).Serialize());
-  }
-}
-
-TEST(ParallelEquivalenceTest, ProveKeysParallelEmptyAndTiny) {
-  common::ThreadPool pool(4);
-  Rng rng(8);
-  mht::SparseMerkleTree tree = RandomTree(rng, 10);
-  EXPECT_EQ(tree.ProveKeysParallel({}, pool).Serialize(),
-            tree.ProveKeysSerial({}).Serialize());
-  std::vector<Hash256> one{RandomHash(rng)};
-  EXPECT_EQ(tree.ProveKeysParallel(one, pool).Serialize(),
-            tree.ProveKeysSerial(one).Serialize());
-}
-
 TEST(ParallelEquivalenceTest, UpdateBatchMatchesSerialUpdates) {
-  common::ThreadPool pool(4);
   Rng rng(9);
   for (int round = 0; round < 5; ++round) {
     std::vector<Hash256> keys;
@@ -81,15 +46,15 @@ TEST(ParallelEquivalenceTest, UpdateBatchMatchesSerialUpdates) {
     }
 
     for (const auto& [k, vh] : batch) serial.Update(k, vh);
-    batched.UpdateBatchWith(batch, pool);
+    batched.UpdateBatch(batch);
 
     EXPECT_EQ(serial.Root(), batched.Root()) << "round " << round;
     EXPECT_EQ(serial.Size(), batched.Size());
     // Structure equality through proofs over every touched key.
     std::vector<Hash256> touched;
     for (const auto& [k, vh] : batch) touched.push_back(k);
-    EXPECT_EQ(serial.ProveKeysSerial(touched).Serialize(),
-              batched.ProveKeysSerial(touched).Serialize());
+    EXPECT_EQ(serial.ProveKeys(touched).Serialize(),
+              batched.ProveKeys(touched).Serialize());
     // Subsequent single-key updates behave identically on both trees.
     Hash256 extra_key = RandomHash(rng);
     Hash256 extra_val = RandomHash(rng);

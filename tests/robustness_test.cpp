@@ -4,6 +4,7 @@
 // paths of the trusted index-certification entry points driven directly.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "chain/block.h"
@@ -71,7 +72,9 @@ workloads::AccountPool& Pool() {
   return pool;
 }
 
-chain::Block SampleBlock() {
+/// A mined 5-tx KVStore block. Its senders' nonces advance in `pool`, so a
+/// test that mines on a fresh node passes a pool no other test has used.
+chain::Block SampleBlock(workloads::AccountPool& pool = Pool()) {
   chain::ChainConfig config;
   config.difficulty_bits = 2;
   auto registry = workloads::MakeBlockbenchRegistry(1);
@@ -80,7 +83,7 @@ chain::Block SampleBlock() {
   workloads::WorkloadGenerator::Params params;
   params.kind = workloads::Workload::kKvStore;
   params.instances_per_workload = 1;
-  workloads::WorkloadGenerator gen(params, Pool());
+  workloads::WorkloadGenerator gen(params, pool);
   auto block = miner.MineBlock(gen.NextBlockTxs(5), 100);
   return block.value();
 }
@@ -177,18 +180,62 @@ TEST(WireFuzzTest, StateUpdateProof) {
   config.difficulty_bits = 2;
   auto registry = workloads::MakeBlockbenchRegistry(1);
   chain::FullNode node(config, registry);
-  chain::Block blk = SampleBlock();
+  workloads::AccountPool pool(4, 3003);
+  chain::Block blk = SampleBlock(pool);
   auto exec = chain::ExecuteBlockTxs(blk.txs, *registry, node.State());
-  ASSERT_TRUE(exec.ok());
+  ASSERT_TRUE(exec.ok()) << exec.message();
   core::StateUpdateProof proof = core::BuildStateUpdateProof(
       exec.value().reads, exec.value().writes, node.State());
   Bytes wire = proof.Serialize();
   auto decoded = core::StateUpdateProof::Deserialize(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().read_set, proof.read_set);
+  // The codec is canonical: whatever decodes re-encodes to the same bytes.
   FuzzDecoder(wire,
-              [](const Bytes& b) { (void)core::StateUpdateProof::Deserialize(b); },
+              [](const Bytes& b) {
+                auto d = core::StateUpdateProof::Deserialize(b);
+                if (d.ok()) {
+                  EXPECT_EQ(d.value().Serialize(), b);
+                }
+              },
               13);
+}
+
+TEST(WireFuzzTest, SmtMultiProofCanonical) {
+  // A proof with both kinds of entries (one-key leaves and larger subtrees)
+  // over present and absent keys. Every mutant that decodes must re-encode
+  // to itself, and one that still verifies must be the genuine bytes.
+  mht::SparseMerkleTree smt;
+  for (int i = 0; i < 200; ++i) {
+    smt.Update(NumberedDigest("k", i), NumberedDigest("v", i));
+  }
+  std::vector<Hash256> keys;
+  std::map<Hash256, Hash256> leaves;
+  for (int i = 0; i < 200; i += 25) {
+    keys.push_back(NumberedDigest("k", i));
+    leaves[keys.back()] = NumberedDigest("v", i);
+  }
+  for (int i = 0; i < 4; ++i) {
+    keys.push_back(NumberedDigest("absent", i));
+    leaves[keys.back()] = Hash256();
+  }
+  const mht::SmtMultiProof proof = smt.ProveKeys(keys);
+  ASSERT_FALSE(proof.siblings.empty());
+  ASSERT_FALSE(proof.leaves.empty());
+  const Hash256 root = smt.Root();
+  ASSERT_EQ(mht::SparseMerkleTree::ComputeRootFromProof(proof, leaves), root);
+  const Bytes wire = proof.Serialize();
+  FuzzDecoder(wire,
+              [&](const Bytes& b) {
+                auto d = mht::SmtMultiProof::Deserialize(b);
+                if (!d.ok()) return;
+                EXPECT_EQ(d.value().Serialize(), b);
+                if (mht::SparseMerkleTree::ComputeRootFromProof(d.value(), leaves) ==
+                    root) {
+                  EXPECT_EQ(b, wire);
+                }
+              },
+              14, 400);
 }
 
 TEST(RobustnessTest, CpuBombTransactionReverts) {

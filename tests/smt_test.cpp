@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/sha256.h"
+#include "mht/node_hash.h"
 
 namespace dcert::mht {
 namespace {
@@ -16,9 +16,18 @@ Hash256 Val(const std::string& s) {
   return crypto::Sha256::Digest(StrBytes("value:" + s));
 }
 
+/// `prefix` followed by decimal `i`. Appending to a named string keeps GCC
+/// 12's -Wrestrict false positive on `const char* + string&&` out of the
+/// build.
+std::string Numbered(const char* prefix, std::uint64_t i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 TEST(SmtTest, EmptyTreeRootIsDefault) {
   SparseMerkleTree tree;
-  EXPECT_EQ(tree.Root(), SparseMerkleTree::DefaultHash(0));
+  EXPECT_EQ(tree.Root(), SparseMerkleTree::EmptyHash());
   EXPECT_EQ(tree.Size(), 0u);
   EXPECT_TRUE(tree.Get(Key("missing")).IsZero());
 }
@@ -63,14 +72,14 @@ TEST(SmtTest, DeleteRestoresPreviousRoot) {
   EXPECT_TRUE(tree.Get(Key("y")).IsZero());
 
   tree.Update(Key("x"), Hash256());
-  EXPECT_EQ(tree.Root(), SparseMerkleTree::DefaultHash(0));
+  EXPECT_EQ(tree.Root(), SparseMerkleTree::EmptyHash());
   EXPECT_EQ(tree.Size(), 0u);
 }
 
 TEST(SmtTest, RootIsInsertionOrderIndependent) {
   std::vector<std::pair<Hash256, Hash256>> kvs;
   for (int i = 0; i < 50; ++i) {
-    kvs.emplace_back(Key("k" + std::to_string(i)), Val("v" + std::to_string(i)));
+    kvs.emplace_back(Key(Numbered("k", i)), Val(Numbered("v", i)));
   }
   SparseMerkleTree forward, backward;
   for (const auto& [k, v] : kvs) forward.Update(k, v);
@@ -83,7 +92,7 @@ TEST(SmtTest, RootIsInsertionOrderIndependent) {
 TEST(SmtTest, MembershipProofVerifies) {
   SparseMerkleTree tree;
   for (int i = 0; i < 20; ++i) {
-    tree.Update(Key("k" + std::to_string(i)), Val("v" + std::to_string(i)));
+    tree.Update(Key(Numbered("k", i)), Val(Numbered("v", i)));
   }
   SmtMultiProof proof = tree.ProveKeys({Key("k3"), Key("k7")});
   std::map<Hash256, Hash256> leaves{{Key("k3"), Val("v3")}, {Key("k7"), Val("v7")}};
@@ -93,7 +102,7 @@ TEST(SmtTest, MembershipProofVerifies) {
 TEST(SmtTest, NonMembershipProofVerifies) {
   SparseMerkleTree tree;
   for (int i = 0; i < 20; ++i) {
-    tree.Update(Key("k" + std::to_string(i)), Val("v" + std::to_string(i)));
+    tree.Update(Key(Numbered("k", i)), Val(Numbered("v", i)));
   }
   SmtMultiProof proof = tree.ProveKeys({Key("absent")});
   std::map<Hash256, Hash256> leaves{{Key("absent"), Hash256()}};
@@ -114,7 +123,7 @@ TEST(SmtTest, WrongValueDoesNotReconstructRoot) {
 TEST(SmtTest, TamperedProofDoesNotReconstructRoot) {
   SparseMerkleTree tree;
   for (int i = 0; i < 10; ++i) {
-    tree.Update(Key("k" + std::to_string(i)), Val("v" + std::to_string(i)));
+    tree.Update(Key(Numbered("k", i)), Val(Numbered("v", i)));
   }
   SmtMultiProof proof = tree.ProveKeys({Key("k0")});
   ASSERT_FALSE(proof.siblings.empty());
@@ -146,7 +155,7 @@ TEST(SmtTest, MaliciousSiblingCannotOverrideCoveredSubtree) {
 TEST(SmtTest, StatelessUpdateMatchesInTreeUpdate) {
   SparseMerkleTree tree;
   for (int i = 0; i < 30; ++i) {
-    tree.Update(Key("k" + std::to_string(i)), Val("v" + std::to_string(i)));
+    tree.Update(Key(Numbered("k", i)), Val(Numbered("v", i)));
   }
   Hash256 old_root = tree.Root();
 
@@ -170,7 +179,7 @@ TEST(SmtTest, StatelessUpdateMatchesInTreeUpdate) {
 TEST(SmtTest, StatelessDeleteMatchesInTreeDelete) {
   SparseMerkleTree tree;
   for (int i = 0; i < 10; ++i) {
-    tree.Update(Key("k" + std::to_string(i)), Val("v" + std::to_string(i)));
+    tree.Update(Key(Numbered("k", i)), Val(Numbered("v", i)));
   }
   SmtMultiProof proof = tree.ProveKeys({Key("k4")});
   std::map<Hash256, Hash256> deleted{{Key("k4"), Hash256()}};
@@ -182,7 +191,7 @@ TEST(SmtTest, StatelessDeleteMatchesInTreeDelete) {
 TEST(SmtTest, ProofSerializationRoundTrip) {
   SparseMerkleTree tree;
   for (int i = 0; i < 25; ++i) {
-    tree.Update(Key("k" + std::to_string(i)), Val("v" + std::to_string(i)));
+    tree.Update(Key(Numbered("k", i)), Val(Numbered("v", i)));
   }
   SmtMultiProof proof = tree.ProveKeys({Key("k1"), Key("k2"), Key("gone")});
   Bytes wire = proof.Serialize();
@@ -194,16 +203,6 @@ TEST(SmtTest, ProofSerializationRoundTrip) {
   EXPECT_FALSE(SmtMultiProof::Deserialize(truncated).ok());
 }
 
-TEST(SmtTest, DefaultHashLevelsChain) {
-  // defaults[l] = H(internal, defaults[l+1], defaults[l+1]) — spot check via
-  // an insert/delete cycle returning to the default root, plus bounds.
-  EXPECT_THROW(SparseMerkleTree::DefaultHash(-1), std::out_of_range);
-  EXPECT_THROW(SparseMerkleTree::DefaultHash(SparseMerkleTree::kDepth + 1),
-               std::out_of_range);
-  EXPECT_NE(SparseMerkleTree::DefaultHash(0),
-            SparseMerkleTree::DefaultHash(SparseMerkleTree::kDepth));
-}
-
 // Randomized property sweep: a shadow std::map is the oracle for Get and for
 // multiproof contents across interleaved inserts, overwrites, and deletes.
 class SmtRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -213,7 +212,7 @@ TEST_P(SmtRandomSweep, MatchesShadowModel) {
   SparseMerkleTree tree;
   std::map<Hash256, Hash256> shadow;
   std::vector<Hash256> universe;
-  for (int i = 0; i < 40; ++i) universe.push_back(Key("u" + std::to_string(i)));
+  for (int i = 0; i < 40; ++i) universe.push_back(Key(Numbered("u", i)));
 
   for (int step = 0; step < 300; ++step) {
     const Hash256& k = universe[rng.NextBelow(universe.size())];
@@ -222,7 +221,7 @@ TEST_P(SmtRandomSweep, MatchesShadowModel) {
       tree.Update(k, Hash256());
       shadow.erase(k);
     } else {
-      Hash256 v = Val("r" + std::to_string(rng.NextU64()));
+      Hash256 v = Val(Numbered("r", rng.NextU64()));
       tree.Update(k, v);
       shadow[k] = v;
     }
@@ -248,45 +247,358 @@ TEST_P(SmtRandomSweep, MatchesShadowModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SmtRandomSweep,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
-// The batched (multi-buffer hash) rehash and the legacy per-node rehash must
-// be observationally identical: same roots, byte-identical serialized
-// multiproofs, across rounds of overlapping inserts, overwrites, and
-// deletes — with and without a thread pool sharding the levels.
-TEST(SmtTest, BatchedAndPerNodeRehashAreByteIdentical) {
-  Rng rng(0xD0CE);
-  common::ThreadPool pool(2);
-  SparseMerkleTree per_node;
-  SparseMerkleTree batched;
-  SparseMerkleTree batched_pooled;
+// --- Reference model -------------------------------------------------------
+
+/// A subtree under the hash definition, written out over a sorted list with
+/// none of the tree's machinery: kind 0 = empty, 1 = one key, 2 = more.
+struct RefSubtree {
+  int kind;
+  Hash256 hash;
+};
+
+RefSubtree RefHash(const std::vector<std::pair<Hash256, Hash256>>& kvs, int level) {
+  if (kvs.empty()) return {0, TaggedDigest(NodeTag::kSmtLeaf, {})};
+  if (kvs.size() == 1) {
+    Bytes payload = kvs[0].first.ToBytes();
+    Append(payload, kvs[0].second);
+    return {1, TaggedDigest(NodeTag::kSmtLeaf, payload)};
+  }
+  std::vector<std::pair<Hash256, Hash256>> zero, one;
+  for (const auto& kv : kvs) {
+    (kv.first.Bit(static_cast<std::size_t>(level)) ? one : zero).push_back(kv);
+  }
+  const RefSubtree l = RefHash(zero, level + 1);
+  const RefSubtree r = RefHash(one, level + 1);
+  const auto tag = static_cast<NodeTag>(0x10 + 3 * l.kind + r.kind);
+  return {2, TaggedDigest2(tag, l.hash, r.hash)};
+}
+
+Hash256 RefRoot(const std::map<Hash256, Hash256>& model) {
+  return RefHash({model.begin(), model.end()}, 0).hash;
+}
+
+Hash256 FlipKeyBit(Hash256 h, int bit) {
+  h[static_cast<std::size_t>(bit / 8)] ^= static_cast<std::uint8_t>(0x80 >> (bit % 8));
+  return h;
+}
+
+/// Bits `h` shares with `other` from the top.
+int CommonBits(const Hash256& h, const Hash256& other) {
+  int i = 0;
+  while (i < 256 && h.Bit(static_cast<std::size_t>(i)) ==
+                        other.Bit(static_cast<std::size_t>(i))) {
+    ++i;
+  }
+  return i;
+}
+
+/// `h` with every bit from `level` on cleared (an SmtNodeId prefix).
+Hash256 PrefixOf(const Hash256& h, int level) {
+  Hash256 out;
+  for (int i = 0; i < level; ++i) {
+    if (h.Bit(static_cast<std::size_t>(i))) out = FlipKeyBit(out, i);
+  }
+  return out;
+}
+
+/// The keys of `model` under the node (level, prefix of `key`), by the model.
+std::vector<std::pair<Hash256, Hash256>> Under(
+    const std::map<Hash256, Hash256>& model, const Hash256& key, int level) {
+  std::vector<std::pair<Hash256, Hash256>> out;
+  for (const auto& kv : model) {
+    if (CommonBits(kv.first, key) >= level) out.push_back(kv);
+  }
+  return out;
+}
+
+/// The level at which `key` is alone in `model` (its leaf's level).
+int LeafLevel(const std::map<Hash256, Hash256>& model, const Hash256& key) {
+  int deepest = 0;
+  for (const auto& kv : model) {
+    if (kv.first != key) deepest = std::max(deepest, CommonBits(kv.first, key) + 1);
+  }
+  return deepest;
+}
+
+// Seeded rounds of inserts, overwrites and deletes, applied to the tree (one
+// UpdateBatch or one Update per key, alternating) and to a std::map whose
+// root is the naive recursion above. Keys include near-twins that share 20,
+// 100 or 159 path bits, so long single-child chains form and collapse. Each
+// round first proves a covered set (written keys plus present and absent
+// reads) on the old tree; the stateless roots from that one proof must equal
+// the in-tree roots before and after.
+class SmtReferenceModelTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SmtReferenceModelTest, RoundsMatchTreeAndStatelessRoots) {
+  Rng rng(GetParam());
   std::vector<Hash256> universe;
-  for (int i = 0; i < 120; ++i) universe.push_back(Key("eq" + std::to_string(i)));
-
-  for (int round = 0; round < 6; ++round) {
-    std::map<Hash256, Hash256> entries;
-    const std::size_t writes = 10 + rng.NextBelow(60);
-    for (std::size_t w = 0; w < writes; ++w) {
-      const Hash256& k = universe[rng.NextBelow(universe.size())];
-      // A third of the writes are deletes (zero value tombstones).
-      entries[k] = rng.NextBelow(3) == 0
-                       ? Hash256()
-                       : Val("eqv" + std::to_string(rng.NextU64()));
+  for (int i = 0; i < 96; ++i) {
+    universe.push_back(Key(Numbered("model", rng.NextU64())));
+  }
+  for (int i = 0; i < 8; ++i) {
+    for (int bit : {20, 100, 159}) universe.push_back(FlipKeyBit(universe[i], bit));
+  }
+  SparseMerkleTree tree;
+  std::map<Hash256, Hash256> model;
+  for (int round = 0; round < 40; ++round) {
+    const bool clear_all = round == 39;
+    std::map<Hash256, Hash256> batch;
+    if (clear_all) {
+      for (const auto& [k, v] : model) batch[k] = Hash256();
+    } else {
+      const std::size_t writes = 1 + rng.NextBelow(40);
+      for (std::size_t w = 0; w < writes; ++w) {
+        batch[universe[rng.NextBelow(universe.size())]] =
+            rng.NextBelow(3) == 0 ? Hash256() : Val(Numbered("mv", rng.NextU64()));
+      }
     }
-    per_node.UpdateBatchWith(entries, pool,
-                             SparseMerkleTree::RehashMode::kPerNode);
-    batched.UpdateBatch(entries);
-    batched_pooled.UpdateBatchWith(entries, pool,
-                                   SparseMerkleTree::RehashMode::kBatched);
-    ASSERT_EQ(per_node.Root(), batched.Root()) << "round " << round;
-    ASSERT_EQ(per_node.Root(), batched_pooled.Root()) << "round " << round;
+    std::vector<Hash256> covered;
+    std::map<Hash256, Hash256> old_leaves;
+    const auto cover = [&](const Hash256& k) {
+      covered.push_back(k);
+      auto it = model.find(k);
+      old_leaves[k] = it == model.end() ? Hash256() : it->second;
+    };
+    for (const auto& [k, v] : batch) cover(k);
+    for (int r = 0; r < 6; ++r) cover(universe[rng.NextBelow(universe.size())]);
 
-    std::vector<Hash256> subset;
-    for (int i = 0; i < 12; ++i) {
-      subset.push_back(universe[rng.NextBelow(universe.size())]);
+    const SmtMultiProof proof = tree.ProveKeys(covered);
+    ASSERT_EQ(SparseMerkleTree::ComputeRootFromProof(proof, old_leaves), tree.Root())
+        << "round " << round;
+    const Bytes wire = proof.Serialize();
+    auto decoded = SmtMultiProof::Deserialize(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.message();
+    EXPECT_EQ(decoded.value().Serialize(), wire);
+
+    std::map<Hash256, Hash256> new_leaves = old_leaves;
+    for (const auto& [k, v] : batch) {
+      new_leaves[k] = v;
+      if (v.IsZero()) {
+        model.erase(k);
+      } else {
+        model[k] = v;
+      }
     }
-    EXPECT_EQ(per_node.ProveKeys(subset).Serialize(),
-              batched.ProveKeys(subset).Serialize())
+    if (round % 2 == 0) {
+      tree.UpdateBatch(batch);
+    } else {
+      for (const auto& [k, v] : batch) tree.Update(k, v);
+    }
+    ASSERT_EQ(tree.Root(), RefRoot(model)) << "round " << round;
+    ASSERT_EQ(tree.Size(), model.size());
+    for (const Hash256& k : universe) {
+      auto it = model.find(k);
+      ASSERT_EQ(tree.Get(k), it == model.end() ? Hash256() : it->second);
+    }
+    EXPECT_EQ(SparseMerkleTree::ComputeRootFromProof(decoded.value(), new_leaves),
+              tree.Root())
         << "round " << round;
   }
+  EXPECT_EQ(tree.Root(), SparseMerkleTree::EmptyHash());
+  EXPECT_EQ(tree.Size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SmtReferenceModelTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
+
+// --- Adversarial proofs ------------------------------------------------------
+//
+// Each case starts from an honest proof on a 64-key tree and forges one entry;
+// the forged proof must not reproduce the trusted root.
+
+struct AdversarialRig {
+  SparseMerkleTree tree;
+  std::map<Hash256, Hash256> model;
+
+  AdversarialRig() {
+    for (int i = 0; i < 64; ++i) {
+      model[Key(Numbered("adv", static_cast<std::uint64_t>(i)))] =
+          Val(Numbered("adv", static_cast<std::uint64_t>(i)));
+    }
+    for (const auto& [k, v] : model) tree.Update(k, v);
+  }
+
+  /// A present key whose sibling at its leaf level holds exactly one key
+  /// (`one_key_sibling`) or two or more.
+  Hash256 KeyWithSibling(bool one_key_sibling) const {
+    for (const auto& [k, v] : model) {
+      const int level = LeafLevel(model, k);
+      const std::size_t n = Under(model, FlipKeyBit(k, level - 1), level).size();
+      if ((n == 1) == one_key_sibling) return k;
+    }
+    ADD_FAILURE() << "no key with the wanted sibling";
+    return Hash256();
+  }
+
+  Hash256 Root(const SmtMultiProof& proof, const Hash256& key,
+               const Hash256& vh) const {
+    return SparseMerkleTree::ComputeRootFromProof(proof, {{key, vh}});
+  }
+};
+
+TEST(SmtAdversarialProofTest, WrongDisplacedLeafRefused) {
+  // c is absent and its path ends at k's leaf (they share 150 bits), so
+  // inserting c splits k's leaf: the proof must carry k as (key, value).
+  AdversarialRig rig;
+  const Hash256 k = rig.model.begin()->first;
+  const Hash256 vk = rig.model.begin()->second;
+  const Hash256 c = FlipKeyBit(k, 150);
+  const SmtMultiProof honest = rig.tree.ProveKeys({c});
+  ASSERT_EQ(honest.leaves.count(k), 1u);
+  ASSERT_EQ(rig.Root(honest, c, Hash256()), rig.tree.Root());
+
+  SmtMultiProof wrong_value = honest;
+  wrong_value.leaves[k] = Val("not-k");
+  EXPECT_NE(rig.Root(wrong_value, c, Hash256()), rig.tree.Root());
+
+  // Same path, same value, another key: the leaf hash binds the full key.
+  SmtMultiProof wrong_key = honest;
+  wrong_key.leaves.erase(k);
+  wrong_key.leaves[FlipKeyBit(k, 200)] = vk;
+  EXPECT_NE(rig.Root(wrong_key, c, Hash256()), rig.tree.Root());
+
+  SmtMultiProof dropped = honest;
+  dropped.leaves.erase(k);
+  EXPECT_NE(rig.Root(dropped, c, Hash256()), rig.tree.Root());
+
+  // The honest proof predicts the split.
+  const Hash256 predicted = rig.Root(honest, c, Val("c"));
+  rig.tree.Update(c, Val("c"));
+  EXPECT_EQ(predicted, rig.tree.Root());
+}
+
+TEST(SmtAdversarialProofTest, PresentKeyClaimedAbsentRefused) {
+  AdversarialRig rig;
+  const Hash256 c = rig.KeyWithSibling(/*one_key_sibling=*/true);
+  const Hash256 vc = rig.model.at(c);
+  const SmtMultiProof honest = rig.tree.ProveKeys({c});
+  ASSERT_EQ(rig.Root(honest, c, vc), rig.tree.Root());
+
+  // c's own leaf handed over as a proof leaf, c claimed absent.
+  SmtMultiProof own_leaf = honest;
+  own_leaf.leaves[c] = vc;
+  EXPECT_NE(rig.Root(own_leaf, c, Hash256()), rig.tree.Root());
+
+  // c's parent handed over as an opaque subtree (its true hash), c claimed
+  // absent.
+  const int parent = LeafLevel(rig.model, c) - 1;
+  SmtMultiProof opaque_parent = honest;
+  for (const auto& kv : Under(rig.model, c, parent)) opaque_parent.leaves.erase(kv.first);
+  opaque_parent.siblings[{static_cast<std::uint16_t>(parent), PrefixOf(c, parent)}] =
+      RefHash(Under(rig.model, c, parent), parent).hash;
+  EXPECT_NE(rig.Root(opaque_parent, c, Hash256()), rig.tree.Root());
+}
+
+TEST(SmtAdversarialProofTest, LeafAtWrongLevelOrPrefixRefused) {
+  AdversarialRig rig;
+  // A subtree of two or more keys claimed to hold one of them alone.
+  const Hash256 c = rig.KeyWithSibling(/*one_key_sibling=*/false);
+  const int level = LeafLevel(rig.model, c);
+  const Hash256 s = FlipKeyBit(c, level - 1);
+  const SmtNodeId sib{static_cast<std::uint16_t>(level), PrefixOf(s, level)};
+  const SmtMultiProof honest = rig.tree.ProveKeys({c});
+  ASSERT_EQ(honest.siblings.count(sib), 1u);
+  ASSERT_EQ(rig.Root(honest, c, rig.model.at(c)), rig.tree.Root());
+  SmtMultiProof too_high = honest;
+  too_high.siblings.erase(sib);
+  const auto inside = Under(rig.model, s, level);
+  too_high.leaves[inside.front().first] = inside.front().second;
+  EXPECT_NE(rig.Root(too_high, c, rig.model.at(c)), rig.tree.Root());
+
+  // A one-key sibling swapped for a genuine leaf that lives elsewhere.
+  const Hash256 d = rig.KeyWithSibling(/*one_key_sibling=*/true);
+  const SmtMultiProof honest_d = rig.tree.ProveKeys({d});
+  const Hash256 d_sib = Under(rig.model, FlipKeyBit(d, LeafLevel(rig.model, d) - 1),
+                              LeafLevel(rig.model, d)).front().first;
+  ASSERT_EQ(honest_d.leaves.count(d_sib), 1u);
+  SmtMultiProof moved = honest_d;
+  moved.leaves.erase(d_sib);
+  for (const auto& [k, v] : rig.model) {
+    if (k != d && k != d_sib && honest_d.leaves.count(k) == 0) {
+      moved.leaves[k] = v;
+      break;
+    }
+  }
+  EXPECT_NE(rig.Root(moved, d, rig.model.at(d)), rig.tree.Root());
+}
+
+TEST(SmtAdversarialProofTest, OpaqueOneKeySiblingOnDeleteRefused) {
+  // c's sibling holds one key k. Handed over as an opaque hash instead of
+  // (k, value), a verifier could not lift k when c is deleted and would
+  // produce a root no honest node computes; the parent's tag binds that the
+  // sibling is a leaf, so the old root no longer matches.
+  AdversarialRig rig;
+  const Hash256 c = rig.KeyWithSibling(/*one_key_sibling=*/true);
+  const int level = LeafLevel(rig.model, c);
+  const auto sibling = Under(rig.model, FlipKeyBit(c, level - 1), level);
+  ASSERT_EQ(sibling.size(), 1u);
+  const auto& [k, vk] = sibling.front();
+  const SmtMultiProof honest = rig.tree.ProveKeys({c});
+  ASSERT_EQ(honest.leaves.count(k), 1u);
+
+  SmtMultiProof forged = honest;
+  forged.leaves.erase(k);
+  forged.siblings[{static_cast<std::uint16_t>(level), PrefixOf(k, level)}] =
+      SparseMerkleTree::LeafNodeHash(k, vk);
+  EXPECT_NE(rig.Root(forged, c, rig.model.at(c)), rig.tree.Root());
+
+  const Hash256 honest_after = rig.Root(honest, c, Hash256());
+  const Hash256 forged_after = rig.Root(forged, c, Hash256());
+  rig.tree.Update(c, Hash256());
+  EXPECT_EQ(honest_after, rig.tree.Root());
+  EXPECT_NE(forged_after, rig.tree.Root());
+}
+
+TEST(SmtAdversarialProofTest, EntryInsideAProofSubtreeRefused) {
+  // A proof subtree with another entry inside it, or two proof leaves on one
+  // path, contradicts itself: refused with the zero hash.
+  AdversarialRig rig;
+  const Hash256 c = rig.KeyWithSibling(/*one_key_sibling=*/false);
+  const int level = LeafLevel(rig.model, c);
+  SmtMultiProof nested = rig.tree.ProveKeys({c});
+  const auto inside = Under(rig.model, FlipKeyBit(c, level - 1), level);
+  nested.leaves[inside.front().first] = inside.front().second;
+  EXPECT_TRUE(rig.Root(nested, c, rig.model.at(c)).IsZero());
+
+  const Hash256 d = rig.KeyWithSibling(/*one_key_sibling=*/true);
+  const int d_level = LeafLevel(rig.model, d);
+  const Hash256 k =
+      Under(rig.model, FlipKeyBit(d, d_level - 1), d_level).front().first;
+  SmtMultiProof twins = rig.tree.ProveKeys({d});
+  ASSERT_EQ(twins.leaves.count(k), 1u);
+  twins.leaves[FlipKeyBit(k, 200)] = Val("twin");
+  EXPECT_TRUE(rig.Root(twins, d, rig.model.at(d)).IsZero());
+}
+
+TEST(SmtAdversarialProofTest, NonCanonicalProofBytesRejected) {
+  AdversarialRig rig;
+  std::vector<Hash256> keys;
+  int i = 0;
+  for (const auto& [k, v] : rig.model) {
+    if (i++ % 10 == 0) keys.push_back(k);
+  }
+  const SmtMultiProof proof = rig.tree.ProveKeys(keys);
+  ASSERT_GE(proof.siblings.size(), 2u);
+  ASSERT_GE(proof.leaves.size(), 2u);
+  // Entries swapped out of map order.
+  const auto swap_entries = [](Bytes wire, std::size_t at, std::size_t size) {
+    std::swap_ranges(wire.begin() + static_cast<std::ptrdiff_t>(at),
+                     wire.begin() + static_cast<std::ptrdiff_t>(at + size),
+                     wire.begin() + static_cast<std::ptrdiff_t>(at + size));
+    return wire;
+  };
+  const Bytes wire = proof.Serialize();
+  EXPECT_FALSE(SmtMultiProof::Deserialize(swap_entries(wire, 4, 66)).ok());
+  const std::size_t leaves_at = 4 + proof.siblings.size() * 66 + 4;
+  EXPECT_FALSE(SmtMultiProof::Deserialize(swap_entries(wire, leaves_at, 64)).ok());
+  // A prefix with bits set below its level, and a zero leaf value.
+  Bytes dirty_prefix = wire;
+  dirty_prefix[4 + 2 + 31] ^= 1;
+  EXPECT_FALSE(SmtMultiProof::Deserialize(dirty_prefix).ok());
+  Bytes zero_value = wire;
+  std::fill(zero_value.begin() + static_cast<std::ptrdiff_t>(leaves_at + 32),
+            zero_value.begin() + static_cast<std::ptrdiff_t>(leaves_at + 64), 0);
+  EXPECT_FALSE(SmtMultiProof::Deserialize(zero_value).ok());
 }
 
 }  // namespace

@@ -125,11 +125,11 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZ
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target \
   svc_test thread_pool_test fleet_test obs_test record_log_test \
   crash_recovery_test ckpt_test chaos_test common_test dcert_test \
-  dcertctl cli_test certify_once_test
+  dcertctl cli_test certify_once_test robustness_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|Cli|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes|IssuerPipeline|IssuerIndexGap'
+  -R 'Serialize|Svc|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|Superlight|Chaos|Cli|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes|IssuerPipeline|IssuerIndexGap|WireFuzz'
   # Serialize covers the strict field decoders every wire codec sits on.
   # Cli runs the ASan-built dcertctl, including `serve` answering
   # `query tip|hist|agg` over TCP, so the tool's socket path is covered.
@@ -142,7 +142,8 @@ ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   # against the aux-capturing one, EcallInputBytes the byte counts,
   # IssuerPipeline the refused blocks that must commit nothing,
   # IssuerIndexGap the refused adopt, batch and backfill calls. Svc runs
-  # SvcWorkflowTest and SvcRestoreTest with the rest of svc_test.
+  # SvcWorkflowTest and SvcRestoreTest with the rest of svc_test. WireFuzz
+  # feeds mutated proof, block and certificate bytes to every decoder.
 
 echo "=== [4/5] TSan + forced-scalar hashing (dispatch fallback path) ==="
 # Same TSan build, but every digest takes the portable scalar road. The
@@ -158,10 +159,11 @@ echo "=== [5/5] UBSan build + SIMD/crypto/tree tests ==="
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target \
   sha256_test signature_test secp256k1_test smt_test merkle_tree_test \
-  mbtree_test common_test dcert_test svc_test fleet_test certify_once_test
+  mbtree_test common_test dcert_test svc_test fleet_test certify_once_test \
+  robustness_test
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight|Fleet|ShardMap|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes|IssuerPipeline|IssuerIndexGap'
+  -R 'Serialize|Svc|Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert|Superlight|Fleet|ShardMap|FullNodeAppend|IndexSigGenEnvelope|HistoricalApplyBlock|EcallInputBytes|IssuerPipeline|IssuerIndexGap|WireFuzz'
   # Sha256BatchTest exercises every supported multi-buffer backend (AVX2
   # lane loads, SHA-NI interleaves); VerifyBatchTest covers the combined
   # verification equation; ArenaTest covers the placement-new pool.
@@ -172,6 +174,7 @@ ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   # the shard arithmetic. The certify_once selection (as under ASan) runs
   # the commit rollback, the four-signature IndexSigGen batch, the SP's
   # ApplyBlock, the issuer pipeline's refusals and the index-gap refusals;
-  # Svc includes the workflow and restore tables.
+  # Svc includes the workflow and restore tables. WireFuzz runs the proof
+  # and wire decoders over mutated bytes (as under ASan).
 
 echo "CI OK"
